@@ -74,9 +74,6 @@ AccessSampler::record(LaneState &lane, const AccessSample &sample)
             ++lane.recordsDropped;
         }
     }
-    if (hook_) {
-        hook_(sample);
-    }
     lane.gap = nextGap(lane);
 }
 

@@ -17,10 +17,10 @@
  *    FlatMap, exportable as a Log2Histogram of per-page weights;
  *  - per-region (2MB-aligned) counts, the granularity Thermostat
  *    places at;
- *  - an optional callback (the TieringPolicy access-feedback hook)
- *    so adaptive policies can consume a sampled view of the real
- *    access stream instead of the synthetic profiling stream
- *    (ROADMAP item 5's sampled-feedback source).
+ *  - onAccess()'s verdict, which the caller can route into the
+ *    TieringPolicy access-feedback hook so adaptive policies consume
+ *    a sampled view of the real access stream instead of the
+ *    synthetic profiling stream (ROADMAP item 5).
  *
  * This mirrors the paper's Sec 6.1.2 PEBS discussion: a record rate
  * of 1/period with no interrupt cost modeled here (the simulated
@@ -32,7 +32,6 @@
 #define THERMOSTAT_OBS_ACCESS_SAMPLER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -87,15 +86,11 @@ struct AccessSamplerConfig
  * ring.  Concurrent onAccess calls are safe for *distinct lanes*
  * (which is how the sharded epoch pipeline drives it); the per-lane
  * sample streams -- and therefore every merged view -- depend only
- * on the lane split, not on the worker count.  The feedback hook is
- * the exception: when installed, the caller must drive the sampler
- * serially (Simulation drops to the serial timing path).
+ * on the lane split, not on the worker count.
  */
 class AccessSampler
 {
   public:
-    using SampleHook = std::function<void(const AccessSample &)>;
-
     AccessSampler(const AccessSamplerConfig &config,
                   std::uint64_t run_seed);
 
@@ -105,25 +100,20 @@ class AccessSampler
     /**
      * Hot-path tap: decrement the geometric gap; record when it
      * expires.  Inline so the common (skip) case is one predictable
-     * branch.
+     * branch.  Returns whether this access was recorded.
      */
-    void
+    bool
     onAccess(Addr page_base, bool huge, bool write, bool slow_tier,
              Count weight)
     {
         LaneState &lane = lanes_[laneOf(page_base)];
         ++lane.offered;
         if (--lane.gap > 0) {
-            return;
+            return false;
         }
         record(lane, {page_base, huge, write, slow_tier, weight});
+        return true;
     }
-
-    /** Sampled-feedback consumer (e.g. the policy feedback shim). */
-    void setHook(SampleHook hook) { hook_ = std::move(hook); }
-
-    /** Whether a feedback hook is installed (forces serial driving). */
-    bool hasHook() const { return static_cast<bool>(hook_); }
 
     // -- Aggregate views -------------------------------------------------
 
@@ -205,7 +195,6 @@ class AccessSampler
 
     AccessSamplerConfig config_; // shard: read-only
     std::array<LaneState, kMachineLanes> lanes_;
-    SampleHook hook_; // shard: serial-only
 };
 
 } // namespace thermostat

@@ -10,7 +10,7 @@
  * Chrome trace-event JSON loadable in Perfetto / chrome://tracing.
  *
  * Two timelines coexist: lifecycle events carry *simulated*
- * nanoseconds (track "simulation"), while TraceScope phase timings
+ * nanoseconds (track "simulation"), while PhaseScope phase timings
  * carry *host wall-clock* nanoseconds since tracer creation (track
  * "host"), making the simulator's own hot loops profilable.
  *
@@ -78,7 +78,7 @@ enum class EventKind : std::uint8_t
                      //!< by a shadow-free demotion (value = bytes)
     QueueRejected,   //!< bounded migration queue was full
                      //!< (value = bytes not queued)
-    Phase           //!< TraceScope host-time phase (value = wall ns)
+    Phase           //!< PhaseScope host-time phase (value = wall ns)
 };
 
 /** Category bit for one kind (mask filtering / Chrome "cat"). */
@@ -202,37 +202,6 @@ class EventTracer
     Ns simTime_ = 0;
     Sink sink_;
     std::chrono::steady_clock::time_point hostEpoch_;
-};
-
-/**
- * RAII wall-clock timer for simulator phases: construct at phase
- * entry, emits a Phase event (host-time track) on destruction.
- */
-class TraceScope
-{
-  public:
-    TraceScope(EventTracer *tracer, const char *name)
-        : tracer_(tracer), name_(name),
-          begin_(tracer ? tracer->hostNow() : 0)
-    {
-    }
-
-    ~TraceScope()
-    {
-        if (tracer_) {
-            const Ns end = tracer_->hostNow();
-            tracer_->emit({begin_, EventKind::Phase, false, 0,
-                           end - begin_, name_});
-        }
-    }
-
-    TraceScope(const TraceScope &) = delete;
-    TraceScope &operator=(const TraceScope &) = delete;
-
-  private:
-    EventTracer *tracer_;
-    const char *name_;
-    Ns begin_;
 };
 
 } // namespace thermostat

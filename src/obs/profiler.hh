@@ -2,8 +2,9 @@
  * @file
  * Hierarchical phase profiler for the simulator's own hot loops.
  *
- * ProfileScope is an RAII wall-clock timer; nested scopes build a
- * call tree rooted at "run" (epoch -> policy_tick -> migrate, ...).
+ * PhaseScope is an RAII wall-clock timer; nested scopes build a
+ * call tree rooted at "run" (epoch -> policy_tick -> migrate, ...),
+ * and with an EventTracer also land on its Perfetto host track.
  * Each node tracks invocation count and total host nanoseconds;
  * self time is total minus the children's totals, computed at
  * export.  The JSON export is a nested tree, so a profile answers
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/event_trace.hh"
 
 namespace thermostat
 {
@@ -94,35 +96,52 @@ class Profiler
 };
 
 /**
- * RAII scope: enters on construction, accumulates elapsed host time
- * on destruction.  Null profiler or disabled profiler = no-op.
+ * RAII phase scope: times one phase into @p profiler's tree (unless
+ * null or disabled) and, given a @p tracer, emits it as a Phase
+ * event; the sys daemons pass no tracer and add no events.
  */
-class ProfileScope
+class PhaseScope
 {
   public:
-    ProfileScope(Profiler *profiler, const char *name)
+    PhaseScope(Profiler *profiler, const char *name,
+               EventTracer *tracer = nullptr)
         : profiler_(profiler != nullptr && profiler->enabled()
                         ? profiler
-                        : nullptr)
+                        : nullptr),
+          tracer_(tracer), name_(name),
+          node_(profiler_ != nullptr ? profiler_->enter(name) : 0),
+          begin_(now())
     {
+    }
+
+    ~PhaseScope()
+    {
+        const Ns elapsed = now() - begin_;
         if (profiler_ != nullptr) {
-            node_ = profiler_->enter(name);
-            begin_ = profiler_->now();
+            profiler_->leave(node_, elapsed);
+        }
+        if (tracer_ != nullptr) {
+            tracer_->emit({begin_, EventKind::Phase, false, 0, elapsed,
+                           name_});
         }
     }
 
-    ~ProfileScope()
-    {
-        if (profiler_ != nullptr) {
-            profiler_->leave(node_, profiler_->now() - begin_);
-        }
-    }
-
-    ProfileScope(const ProfileScope &) = delete;
-    ProfileScope &operator=(const ProfileScope &) = delete;
+    PhaseScope(const PhaseScope &) = delete;
+    PhaseScope &operator=(const PhaseScope &) = delete;
 
   private:
+    /** The tracer's clock (Phase events use it), else the profiler's. */
+    Ns
+    now() const
+    {
+        return tracer_ != nullptr     ? tracer_->hostNow()
+               : profiler_ != nullptr ? profiler_->now()
+                                      : 0;
+    }
+
     Profiler *profiler_;
+    EventTracer *tracer_;
+    const char *name_;
     int node_ = 0;
     Ns begin_ = 0;
 };

@@ -69,7 +69,7 @@ Machine::access(Addr vaddr, AccessType type, Count weight,
     LaneState &lane = lanes_[lane_id];
 
     Pfn pfn = 0;
-    bool huge = false;
+    bool &huge = out.huge;
 
     TlbEntry entry;
     const TlbShards::HitLevel level = tlb_.lookup(vaddr, &entry);
@@ -200,8 +200,9 @@ Machine::access(Addr vaddr, AccessType type, Count weight,
     if (sampler_ != nullptr) {
         // Telemetry tap: observe-only, own RNG stream; placement
         // after tier resolution so the sample carries the tier.
-        sampler_->onAccess(alignDown4K(vaddr), huge, write,
-                           tier == Tier::Slow, weight);
+        out.sampled = sampler_->onAccess(alignDown4K(vaddr), huge,
+                                         write, tier == Tier::Slow,
+                                         weight);
     }
     return out;
 }

@@ -110,6 +110,8 @@ struct AccessOutcome
     bool tlbMiss = false;
     bool llcMiss = false;
     bool poisonFault = false;
+    bool huge = false;    //!< translated by a 2MB leaf
+    bool sampled = false; //!< recorded by the access sampler
     Tier tier = Tier::Fast;
 };
 

@@ -1,7 +1,7 @@
 #include "sim/simulation.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <array>
 
 #include "common/logging.hh"
 #include "obs/json.hh"
@@ -12,16 +12,13 @@ namespace thermostat
 {
 
 /**
- * Resolve the epoch pipeline's worker count: the env override wins
- * (verification mode), then the config knob, then auto.  Never more
- * workers than lanes -- there is nothing for them to do.
+ * Resolve the epoch pipeline's worker count: the config knob, else
+ * auto.  Never more workers than lanes -- there is nothing for them
+ * to do.
  */
 unsigned
 Simulation::resolveShards(const SimConfig &config)
 {
-    if (std::getenv("THERMOSTAT_VERIFY_SHARDING") != nullptr) {
-        return 1;
-    }
     const unsigned requested =
         config.shards != 0
             ? config.shards
@@ -31,6 +28,89 @@ Simulation::resolveShards(const SimConfig &config)
 
 namespace
 {
+
+/** References per chunk: bounds the lane buffers, amortizes the
+ *  lane fan-out. */
+constexpr std::uint64_t kChunkRefs = 65536;
+
+/**
+ * What a lane reports about one reference for the draw-order replay:
+ * its leaf size, and whether the sampler recorded it (timing) or it
+ * hit a poisoned page (profiling).
+ */
+struct RefOutcome
+{
+    bool huge = false;
+    bool flagged = false;
+};
+
+/** One lane's bucket of the chunk in flight. */
+struct LaneBucket
+{
+    std::vector<MemRef> refs;         //!< in draw order
+    std::vector<RefOutcome> outcomes; //!< one per ref, set by the lane
+};
+
+/** Order-sensitive work on one reference, called in draw order. */
+using DrawReplay =
+    std::function<void(const MemRef &, const RefOutcome &)>;
+
+/**
+ * The epoch pipeline every reference stream runs through.  Per
+ * fixed-size chunk: draw the references serially from @p rng,
+ * bucket them by lane, run every lane's bucket through
+ * execute(ref) -> RefOutcome (on @p pool when there is one, else
+ * inline), then call @p replay, when set, on each reference in draw
+ * order.
+ */
+template <typename Execute>
+void
+runStream(Workload &workload, Rng &rng, ThreadPool *pool,
+          std::uint64_t count, const Execute &execute,
+          const DrawReplay &replay)
+{
+    std::array<LaneBucket, kMachineLanes> lanes;
+    std::vector<std::uint8_t> draw_lanes; //!< lane of each draw
+    const auto run_lane = [&](std::size_t lane) {
+        LaneBucket &bucket = lanes[lane];
+        bucket.outcomes.resize(bucket.refs.size());
+        for (std::size_t k = 0; k < bucket.refs.size(); ++k) {
+            bucket.outcomes[k] = execute(bucket.refs[k]);
+        }
+    };
+    for (std::uint64_t first = 0; first < count; first += kChunkRefs) {
+        const std::uint64_t chunk = std::min(kChunkRefs, count - first);
+        // Draw serially, consuming @p rng exactly as a
+        // reference-at-a-time loop would, and bucket by lane.
+        for (LaneBucket &bucket : lanes) {
+            bucket.refs.clear();
+        }
+        draw_lanes.clear();
+        for (std::uint64_t i = 0; i < chunk; ++i) {
+            const MemRef ref = workload.sample(rng);
+            const unsigned lane = laneOf(ref.addr);
+            lanes[lane].refs.push_back(ref);
+            draw_lanes.push_back(static_cast<std::uint8_t>(lane));
+        }
+        if (pool != nullptr) {
+            pool->parallelFor(0, kMachineLanes, 1, run_lane);
+        } else {
+            for (std::size_t lane = 0; lane < kMachineLanes; ++lane) {
+                run_lane(lane);
+            }
+        }
+        if (!replay) {
+            continue;
+        }
+        // Replay in draw order: one cursor per lane bucket, advanced
+        // by following the recorded lane of each draw.
+        std::array<std::size_t, kMachineLanes> next{};
+        for (const std::uint8_t lane : draw_lanes) {
+            const std::size_t k = next[lane]++;
+            replay(lanes[lane].refs[k], lanes[lane].outcomes[k]);
+        }
+    }
+}
 
 /** Flight-recorder schema: one row per measured epoch. */
 std::vector<std::string>
@@ -131,21 +211,6 @@ Simulation::Simulation(std::unique_ptr<Workload> workload,
                                                    config_.seed);
         machine_.setAccessSampler(sampler_.get());
         sampler_->registerMetrics(metrics_, "sampler");
-        if (config_.samplerFeedback &&
-            policy_->wantsAccessFeedback()) {
-            // Each sample stands for ~period offered accesses; scale
-            // the feedback weight so the policy sees calibrated
-            // magnitudes (an explicit experiment: this changes what
-            // feedback-driven policies observe).
-            const Count period = config_.sampler.period;
-            sampler_->setHook(
-                [this, period](const AccessSample &s) {
-                    policy_->onProfiledAccess(
-                        s.huge ? alignDown2M(s.pageBase)
-                               : s.pageBase,
-                        s.huge, s.write, s.weight * period);
-                });
-        }
     }
     migrator_.setProfiler(&profiler_);
     kstaled_.setProfiler(&profiler_);
@@ -232,153 +297,106 @@ Simulation::recordEpoch(Ns at, const EpochBase &base, Ns actual,
          delta(now.queueIssuedBytes, base.queueIssuedBytes)});
 }
 
+// shard: lane-local -- the executor touches only its lane's machine
+// state; the sampler-feedback replay runs after the lanes join.
 void
 Simulation::runTimingStream(Count weight, Ns &epoch_actual,
                             Ns &epoch_baseline)
 {
-    TraceScope scope(&tracer_, "timing_stream");
-    ProfileScope pscope(&profiler_, "timing_stream");
-    // The sampler feedback hook mutates policy state per sample and
-    // is order-sensitive across lanes: drive it serially.  The flag
-    // is a run mode, not a function of the shard count, so results
-    // stay shard-invariant.
-    const bool serial = pool_ == nullptr ||
-                        (sampler_ != nullptr && sampler_->hasHook());
-    if (serial) {
-        for (unsigned i = 0; i < config_.samplesPerEpoch; ++i) {
-            const MemRef ref = workload_->sample(rng_);
+    PhaseScope scope(&profiler_, "timing_stream", &tracer_);
+    DrawReplay replay;
+    if (config_.samplerFeedback && sampler_ != nullptr &&
+        policy_->wantsAccessFeedback()) {
+        // Each sample stands for ~period offered accesses: scale the
+        // feedback so the policy sees calibrated magnitudes.
+        const Count sample_weight = weight * config_.sampler.period;
+        replay = [this, sample_weight](const MemRef &ref,
+                                       const RefOutcome &out) {
+            if (out.flagged) {
+                policy_->onProfiledAccess(
+                    out.huge ? alignDown2M(ref.addr)
+                             : alignDown4K(ref.addr),
+                    out.huge, ref.type == AccessType::Write,
+                    sample_weight);
+            }
+        };
+    }
+    const MachineStats before = machine_.stats();
+    runStream(
+        *workload_, rng_, pool_, config_.samplesPerEpoch,
+        [&](const MemRef &ref) {
             const AccessOutcome out = machine_.access(
                 ref.addr, ref.type, weight, ref.burstLines);
-            epoch_actual += out.actualLatency;
-            epoch_baseline += out.baselineLatency;
-        }
-        return;
-    }
-    // Sharded path: draw the epoch's references serially first
-    // (consuming rng_ exactly as the serial path would), bucket them
-    // by machine lane, then execute the lanes concurrently.  Each
-    // lane's machine state sees precisely the lane-subsequence of
-    // the draw order -- the same subsequence the serial loop feeds
-    // it -- and every cross-lane accumulation is a commutative sum,
-    // so the merged outcome is identical for any worker count.
-    for (std::vector<MemRef> &bucket : laneRefs_) {
-        bucket.clear();
-    }
-    for (unsigned i = 0; i < config_.samplesPerEpoch; ++i) {
-        const MemRef ref = workload_->sample(rng_);
-        laneRefs_[laneOf(ref.addr)].push_back(ref);
-    }
-    std::array<Ns, kMachineLanes> actual{};
-    std::array<Ns, kMachineLanes> baseline{};
-    pool_->parallelFor(0, kMachineLanes, 1, [&](std::size_t lane) {
-        Ns lane_actual = 0;
-        Ns lane_baseline = 0;
-        for (const MemRef &ref : laneRefs_[lane]) {
-            const AccessOutcome out = machine_.access(
-                ref.addr, ref.type, weight, ref.burstLines);
-            lane_actual += out.actualLatency;
-            lane_baseline += out.baselineLatency;
-        }
-        actual[lane] = lane_actual;
-        baseline[lane] = lane_baseline;
-    });
-    for (unsigned lane = 0; lane < kMachineLanes; ++lane) {
-        epoch_actual += actual[lane];
-        epoch_baseline += baseline[lane];
-    }
+            return RefOutcome{out.huge, out.sampled};
+        },
+        replay);
+    // Every access adds latency x weight to its lane's stats, so the
+    // deltas divide exactly.
+    const MachineStats after = machine_.stats();
+    epoch_actual += (after.actualTime - before.actualTime) / weight;
+    epoch_baseline += (after.baselineTime - before.baselineTime) / weight;
 }
 
+// shard: lane-local -- the executor walks only its lane's pages;
+// the feedback/PEBS replay runs after the lanes join.
 void
 Simulation::runProfileStream(std::uint64_t profile_samples,
                              Count pebs_budget)
 {
-    TraceScope scope(&tracer_, "profile_stream");
-    ProfileScope pscope(&profiler_, "profile_stream");
+    PhaseScope scope(&profiler_, "profile_stream", &tracer_);
     const bool pebs =
         config_.machine.countingMode == CountingMode::Pebs;
     const bool feedback = config_.thermostatEnabled &&
                           policy_->wantsAccessFeedback();
-    // PEBS counts monitored hits through one global modulo counter
-    // and the feedback hook mutates policy state per sample: both
-    // are order-sensitive across lanes, so those modes run serially.
-    // Like the sampler hook, they are run modes, not functions of
-    // the shard count.
-    const bool serial = pool_ == nullptr || pebs || feedback;
     // Grab the component references up front: the Machine accessors
-    // that flush deferred device state must run neither per-sample
-    // (serial loop) nor inside the lane workers (sharded loop).
+    // that flush deferred device state must not run inside the lane
+    // workers.
     PageTable &table = machine_.space().pageTable();
     BadgerTrap &trap = machine_.trap();
-    if (serial) {
-        Count pebs_records = 0;
-        for (std::uint64_t i = 0; i < profile_samples; ++i) {
-            const MemRef ref = workload_->sample(profileRng_);
-            const WalkResult wr = table.walk(ref.addr);
-            TSTAT_ASSERT(wr.mapped(), "profile ref unmapped");
-            wr.pte->setAccessed();
-            if (ref.type == AccessType::Write) {
-                wr.pte->setDirty();
-            }
+    Count pebs_records = 0;
+    DrawReplay replay;
+    if (pebs || feedback) {
+        replay = [&](const MemRef &ref, const RefOutcome &out) {
+            const Addr base = out.huge ? alignDown2M(ref.addr)
+                                       : alignDown4K(ref.addr);
             if (feedback) {
                 policy_->onProfiledAccess(
-                    wr.huge ? alignDown2M(ref.addr)
-                            : alignDown4K(ref.addr),
-                    wr.huge, ref.type == AccessType::Write,
+                    base, out.huge, ref.type == AccessType::Write,
                     config_.profileWeight);
-            }
-            if (!wr.pte->poisoned()) {
-                continue;
-            }
-            const Addr base = wr.huge ? alignDown2M(ref.addr)
-                                      : alignDown4K(ref.addr);
-            if (!pebs) {
-                trap.recordAccess(base, config_.profileWeight);
-                continue;
             }
             // PEBS: one record per pebsPeriod monitored accesses,
             // silently dropped beyond the record-rate budget --
             // which is exactly why 1000Hz cannot support 30K
             // accesses/sec of monitoring (Sec 6.1.2).
-            if (++pebsMonitoredHits_ % config_.pebsPeriod != 0) {
-                continue;
+            if (pebs && out.flagged &&
+                ++pebsMonitoredHits_ % config_.pebsPeriod == 0 &&
+                pebs_records < pebs_budget) {
+                ++pebs_records;
+                trap.recordAccess(
+                    base, config_.profileWeight * config_.pebsPeriod);
             }
-            if (pebs_records >= pebs_budget) {
-                continue;
-            }
-            ++pebs_records;
-            trap.recordAccess(
-                base, config_.profileWeight * config_.pebsPeriod);
-        }
-        return;
+        };
     }
-    // Sharded path: same pre-draw/bucket/execute shape as the
-    // timing stream.  Lane workers only touch lane-owned state --
-    // the leaf PTE (a page maps to exactly one lane), the lane's
-    // walk-cache slots and BadgerTrap's lane counters -- so the
-    // walks and counts commute across lanes.
-    for (std::vector<MemRef> &bucket : laneRefs_) {
-        bucket.clear();
-    }
-    for (std::uint64_t i = 0; i < profile_samples; ++i) {
-        const MemRef ref = workload_->sample(profileRng_);
-        laneRefs_[laneOf(ref.addr)].push_back(ref);
-    }
-    pool_->parallelFor(0, kMachineLanes, 1, [&](std::size_t lane) {
-        for (const MemRef &ref : laneRefs_[lane]) {
+    runStream(
+        *workload_, profileRng_, pool_, profile_samples,
+        [&](const MemRef &ref) {
             const WalkResult wr = table.walk(ref.addr);
             TSTAT_ASSERT(wr.mapped(), "profile ref unmapped");
             wr.pte->setAccessed();
             if (ref.type == AccessType::Write) {
                 wr.pte->setDirty();
             }
-            if (!wr.pte->poisoned()) {
-                continue;
+            const bool poisoned = wr.pte->poisoned();
+            // BadgerTrap counts every poisoned access here; PEBS
+            // records are budgeted in draw order by the replay.
+            if (poisoned && !pebs) {
+                trap.recordAccess(wr.huge ? alignDown2M(ref.addr)
+                                          : alignDown4K(ref.addr),
+                                  config_.profileWeight);
             }
-            trap.recordAccess(wr.huge ? alignDown2M(ref.addr)
-                                      : alignDown4K(ref.addr),
-                              config_.profileWeight);
-        }
-    });
+            return RefOutcome{wr.huge, poisoned};
+        },
+        replay);
 }
 
 // shard: merge-barrier -- same contract as epochBase().
@@ -457,7 +475,7 @@ Simulation::stepEpoch()
     const Ns warmup = config_.warmup;
     const Ns now = run_.now;
 
-    ProfileScope epoch_scope(&profiler_, "epoch");
+    PhaseScope epoch_scope(&profiler_, "epoch");
     const bool recording = now >= warmup;
     const Ns rec_time = recording ? now - warmup : 0;
     const EpochBase epoch_base = epochBase();
@@ -469,23 +487,20 @@ Simulation::stepEpoch()
         machine_.memory().advanceFaultState(now);
     }
     {
-        TraceScope scope(&tracer_, "workload_advance");
-        ProfileScope pscope(&profiler_, "workload_advance");
+        PhaseScope scope(&profiler_, "workload_advance", &tracer_);
         workload_->advance(now, machine_.space());
     }
     Ns queue_cost = 0;
     if (config_.thermostatEnabled) {
         {
-            TraceScope scope(&tracer_, "policy_tick");
-            ProfileScope pscope(&profiler_, "policy_tick");
+            PhaseScope scope(&profiler_, "policy_tick", &tracer_);
             policy_->tick(now);
         }
         // Service the bounded migration queue after the decision
         // round so this epoch's orders contend for this epoch's
         // service budget.  Pass-through engines never activate it.
         if (queue_.active()) {
-            TraceScope scope(&tracer_, "migrate_queue");
-            ProfileScope pscope(&profiler_, "migrate_queue");
+            PhaseScope scope(&profiler_, "migrate_queue", &tracer_);
             queue_cost = queue_.step(now);
             if (transactions_.active()) {
                 transactions_.verifyLedger();
@@ -493,8 +508,7 @@ Simulation::stepEpoch()
         }
     }
     if (config_.khugepagedEnabled) {
-        TraceScope scope(&tracer_, "khugepaged_tick");
-        ProfileScope pscope(&profiler_, "khugepaged_tick");
+        PhaseScope scope(&profiler_, "khugepaged_tick", &tracer_);
         khugepaged_.tick(now);
     }
     if (hook_) {

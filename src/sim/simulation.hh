@@ -15,7 +15,6 @@
 #ifndef THERMOSTAT_SIM_SIMULATION_HH
 #define THERMOSTAT_SIM_SIMULATION_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -55,15 +54,14 @@ struct SimConfig
     unsigned samplesPerEpoch = 40000;
 
     /**
-     * Worker threads for the sharded epoch pipeline: each epoch's
-     * timing and profiling streams are pre-drawn serially, bucketed
-     * into the kMachineLanes address lanes, and the lanes execute
-     * concurrently on this many pool workers.  0 = auto
-     * (min(kMachineLanes, ThreadPool::defaultJobs())); 1 = fully
-     * serial.  The lane split is fixed, so every value produces
-     * byte-identical results -- `--shards 1` doubles as the
-     * verification mode, and setting THERMOSTAT_VERIFY_SHARDING in
-     * the environment forces it regardless of this knob.
+     * Worker threads for the epoch pipeline: each epoch's timing and
+     * profiling streams are drawn serially in chunks, each chunk is
+     * bucketed into the kMachineLanes address lanes, and the lanes
+     * execute on this many pool workers.  0 = auto
+     * (min(kMachineLanes, ThreadPool::defaultJobs())); 1 = the lanes
+     * run inline on the calling thread.  The lane split is fixed, so
+     * every value runs the same code on the same lanes and produces
+     * byte-identical results.
      */
     unsigned shards = 0;
 
@@ -298,9 +296,9 @@ class Simulation
 
     /**
      * The epoch pipeline's worker count this config resolves to
-     * (env override, then the knob, then auto; never more than
-     * kMachineLanes).  Exposed so an external pool owner can size
-     * one shared pool before constructing tenant simulations.
+     * (the knob, else auto; never more than kMachineLanes).  Exposed
+     * so an external pool owner can size one shared pool before
+     * constructing tenant simulations.
      */
     static unsigned resolveShards(const SimConfig &config);
 
@@ -362,7 +360,7 @@ class Simulation
 
     const SimConfig &config() const { return config_; }
 
-    /** Effective worker count after auto/env resolution. */
+    /** Effective worker count after auto resolution. */
     unsigned shards() const { return shards_; }
 
     /** Null unless the config's fault plan is non-empty. */
@@ -371,11 +369,11 @@ class Simulation
   private:
     void recordFootprint(SimResult &result, Ns now);
 
-    /** One epoch's timing stream (serial or lane-parallel). */
+    /** One epoch's timing stream. */
     void runTimingStream(Count weight, Ns &epoch_actual,
                          Ns &epoch_baseline);
 
-    /** One epoch's profiling stream (serial or lane-parallel). */
+    /** One epoch's profiling stream. */
     void runProfileStream(std::uint64_t profile_samples,
                           Count pebs_budget);
 
@@ -443,18 +441,16 @@ class Simulation
     std::unique_ptr<TieringPolicy> policy_; // shard: serial-only
     ThermostatPolicy *thermostat_ = nullptr; // shard: serial-only
 
-    Rng rng_;        // shard: serial-only (pre-draw before fan-out)
-    Rng profileRng_; // shard: serial-only (pre-draw before fan-out)
-    Count pebsMonitoredHits_ = 0; // shard: serial-only (forces it)
+    Rng rng_;        // shard: serial-only (drawn before fan-out)
+    Rng profileRng_; // shard: serial-only (drawn before fan-out)
+    Count pebsMonitoredHits_ = 0; // shard: serial-only (replay)
     EpochHook hook_;              // shard: serial-only
 
     unsigned shards_ = 1;    //!< resolved // shard: read-only
     /** Owned only when no shared pool was injected. */
     std::unique_ptr<ThreadPool> ownedPool_; // shard: read-only
-    /** Effective pool (owned or shared); null = serial. */
+    /** Effective pool (owned or shared); null = lanes run inline. */
     ThreadPool *pool_ = nullptr; // shard: read-only handle
-    /** Per-lane reference buckets, reused across epochs. */
-    std::array<std::vector<MemRef>, kMachineLanes> laneRefs_;
 
     RunState run_; // shard: serial-only
 

@@ -31,7 +31,7 @@ Khugepaged::tick(Ns now)
 unsigned
 Khugepaged::runPass()
 {
-    ProfileScope pscope(profiler_, "khugepaged_pass");
+    PhaseScope pscope(profiler_, "khugepaged_pass");
     ++stats_.passes;
 
     // Gather the 2MB-aligned ranges that currently hold 4KB leaves.

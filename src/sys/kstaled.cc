@@ -38,7 +38,7 @@ Kstaled::visitPage(Addr base, Pte &pte, ScanStats &stats)
 ScanStats
 Kstaled::scanAll()
 {
-    ProfileScope pscope(profiler_, "kstaled_scan");
+    PhaseScope pscope(profiler_, "kstaled_scan");
     ScanStats stats;
     space_.pageTable().forEachLeaf(
         [this, &stats](Addr base, Pte &pte, bool) {
@@ -52,7 +52,7 @@ Kstaled::scanAll()
 ScanStats
 Kstaled::scanPages(const std::vector<Addr> &pages)
 {
-    ProfileScope pscope(profiler_, "kstaled_scan");
+    PhaseScope pscope(profiler_, "kstaled_scan");
     ScanStats stats;
     for (const Addr base : pages) {
         WalkResult wr = space_.pageTable().walk(base);

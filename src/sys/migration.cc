@@ -33,7 +33,7 @@ PageMigrator::copyCost(std::uint64_t bytes, double slowdown) const
 MigrateResult
 PageMigrator::migrate(Addr vaddr, Tier target, Ns now)
 {
-    ProfileScope pscope(profiler_, "migrate");
+    PhaseScope pscope(profiler_, "migrate");
     MigrateResult result;
     WalkResult wr = space_.pageTable().walk(vaddr);
     TSTAT_ASSERT(wr.mapped(), "migrate: unmapped page %#lx",

@@ -82,9 +82,9 @@ class Pte
         raw_ = (raw_ & ~kPfnMask) | ((pfn << kPfnShift) & kPfnMask);
     }
 
-    void setAccessed() { raw_ |= kAccessed; }
+    void setAccessed() { setOnce(kAccessed); }
     void clearAccessed() { raw_ &= ~kAccessed; }
-    void setDirty() { raw_ |= kDirty; }
+    void setDirty() { setOnce(kDirty); }
     void clearDirty() { raw_ &= ~kDirty; }
     void poison() { raw_ |= kPoison; }
     void unpoison() { raw_ &= ~kPoison; }
@@ -96,6 +96,16 @@ class Pte
     bool operator==(const Pte &other) const = default;
 
   private:
+    /** Store only on a change: lane workers set bits on PTEs that
+     *  share cache lines, and redundant stores bounce the lines. */
+    void
+    setOnce(std::uint64_t bit)
+    {
+        if ((raw_ & bit) == 0) {
+            raw_ |= bit;
+        }
+    }
+
     std::uint64_t raw_ = 0;
 };
 

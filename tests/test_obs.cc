@@ -16,6 +16,7 @@
 #include "obs/json.hh"
 #include "obs/lifecycle_audit.hh"
 #include "obs/metrics.hh"
+#include "obs/profiler.hh"
 #include "policy/policy_factory.hh"
 #include "sim/simulation.hh"
 #include "sys/migration.hh"
@@ -184,16 +185,30 @@ TEST(EventTracer, ParseEventMask)
     EXPECT_FALSE(parseEventMask("sample,bogus", &mask));
 }
 
-TEST(EventTracer, TraceScopeEmitsPhase)
+TEST(EventTracer, PhaseScopeEmitsPhase)
 {
     EventTracer tracer(8);
+    Profiler profiler;
     {
-        TraceScope scope(&tracer, "tick");
+        PhaseScope scope(&profiler, "tick", &tracer);
     }
     const auto events = tracer.events();
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].kind, EventKind::Phase);
     EXPECT_STREQ(events[0].name, "tick");
+
+    // The same interval lands in the profile tree.
+    ASSERT_EQ(profiler.nodes().size(), 2u);
+    EXPECT_EQ(profiler.nodes()[1].name, "tick");
+    EXPECT_EQ(profiler.nodes()[1].count, 1u);
+    EXPECT_EQ(profiler.nodes()[1].totalNs, events[0].value);
+
+    // Profiler-only scopes emit no trace events.
+    {
+        PhaseScope scope(&profiler, "tick");
+    }
+    EXPECT_EQ(tracer.events().size(), 1u);
+    EXPECT_EQ(profiler.nodes()[1].count, 2u);
 }
 
 TEST(EventTracer, ExportsAreWellFormed)
@@ -203,7 +218,7 @@ TEST(EventTracer, ExportsAreWellFormed)
     tracer.record(EventKind::PageDemoted, 9, 0x200000, true,
                   kPageSize2M);
     {
-        TraceScope scope(&tracer, "phase \"quoted\"");
+        PhaseScope scope(nullptr, "phase \"quoted\"", &tracer);
     }
     const std::string chrome = tracer.toChromeTrace();
     EXPECT_TRUE(jsonWellFormed(chrome)) << chrome;

@@ -1,15 +1,17 @@
 /**
  * @file
- * Shard-count invariance matrix: the sharded epoch pipeline must
+ * Shard-count invariance matrix: the epoch pipeline must
  * produce byte-identical results for every worker count.
  *
  * The lane split (kMachineLanes, laneOf) is fixed and the merge
  * points are all commutative, so SimConfig.shards only chooses how
  * many threads execute the lanes -- never what they compute.  This
  * suite proves it empirically: for a matrix of seeds x workload
- * configurations (including a fault-plan run), the full flight-
- * recorder CSV, the metrics dump and the headline SimResult fields
- * at --shards {2,4,8} must equal the --shards 1 reference exactly.
+ * configurations (including a fault-plan run, and the PEBS,
+ * sampler-feedback and nomad modes whose order-sensitive work is
+ * replayed in draw order), the full flight-recorder CSV, the metrics
+ * dump and the headline SimResult fields at --shards {2,4,8} must
+ * equal the --shards 1 reference exactly.
  *
  * The same binary runs under TSan in the shard-determinism CI job,
  * which additionally proves the lane workers share no unsynchronized
@@ -88,6 +90,33 @@ matrixCells(std::uint64_t seed)
     return cells;
 }
 
+/**
+ * The run modes whose order-sensitive work (PEBS record budgeting,
+ * sampler feedback, policy access feedback -- nomad's writes abort
+ * transactions and free shadow frames) is replayed in draw order
+ * after the lanes fan out.
+ */
+std::vector<Cell>
+replayCells(std::uint64_t seed)
+{
+    std::vector<Cell> cells;
+    Cell pebs{"pebs", matrixConfig(seed)};
+    pebs.config.machine.countingMode = CountingMode::Pebs;
+    pebs.config.pebsMaxRecordsPerSec = 5.0;
+    cells.push_back(std::move(pebs));
+
+    Cell sampled{"sampler-feedback-hotness", matrixConfig(seed)};
+    sampled.config.policy = "hotness";
+    sampled.config.samplerFeedback = true;
+    cells.push_back(std::move(sampled));
+
+    Cell nomad{"nomad", matrixConfig(seed)};
+    nomad.config.policy = "nomad";
+    nomad.config.policyParams.coldFraction = 0.4;
+    cells.push_back(std::move(nomad));
+    return cells;
+}
+
 RunFingerprint
 runCell(const Cell &cell, unsigned shards)
 {
@@ -131,12 +160,17 @@ expectIdentical(const RunFingerprint &ref, const RunFingerprint &got,
     EXPECT_EQ(ref.samplerDigest, got.samplerDigest) << where;
 }
 
-TEST(ShardDeterminism, MatrixMatchesSerialReference)
+/**
+ * Run every cell of @p cells for seeds [1, @p seeds] at shards
+ * {2,4,8} against its shards=1 reference; any divergence names its
+ * exact cell, and the first one stops the sweep.
+ */
+void
+expectMatrixMatchesSerial(std::uint64_t seeds,
+                          std::vector<Cell> (*cells)(std::uint64_t))
 {
-    // 20 seeds x 3 workload configs x shards {2,4,8} against the
-    // shards=1 reference.  Any divergence names its exact cell.
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        for (const Cell &cell : matrixCells(seed)) {
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+        for (const Cell &cell : cells(seed)) {
             const RunFingerprint ref = runCell(cell, 1);
             ASSERT_FALSE(ref.flightCsv.empty());
             for (const unsigned shards : {2u, 4u, 8u}) {
@@ -151,17 +185,17 @@ TEST(ShardDeterminism, MatrixMatchesSerialReference)
     }
 }
 
-TEST(ShardDeterminism, VerifyEnvForcesSerial)
+TEST(ShardDeterminism, MatrixMatchesSerialReference)
 {
-    ::setenv("THERMOSTAT_VERIFY_SHARDING", "1", 1);
-    SimConfig config = matrixConfig(3);
-    config.shards = 8;
-    Simulation sim(halfColdWorkload(), config);
-    EXPECT_EQ(sim.shards(), 1u);
-    ::unsetenv("THERMOSTAT_VERIFY_SHARDING");
+    // 20 seeds x 3 workload configs.
+    expectMatrixMatchesSerial(20, matrixCells);
+}
 
-    Simulation parallel(halfColdWorkload(), config);
-    EXPECT_EQ(parallel.shards(), 8u);
+TEST(ShardDeterminism, ReplayModesMatchSerialReference)
+{
+    // Fewer seeds: these cells exist to put the draw-order replay
+    // under TSan next to the lane workers, not to sample workloads.
+    expectMatrixMatchesSerial(3, replayCells);
 }
 
 TEST(ShardDeterminism, AutoShardsNeverExceedLanes)

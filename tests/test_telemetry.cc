@@ -136,17 +136,21 @@ TEST(AccessSampler, RecordRingIsBoundedFifo)
     EXPECT_EQ(sampler.records().back().pageBase, 19 * kPageSize4K);
 }
 
-TEST(AccessSampler, HookSeesEverySample)
+TEST(AccessSampler, OnAccessReportsEverySample)
 {
     AccessSamplerConfig config;
     config.period = 16;
     AccessSampler sampler(config, 42);
-    std::uint64_t hooked = 0;
-    sampler.setHook(
-        [&hooked](const AccessSample &) { ++hooked; });
-    driveSampler(sampler, 100000, 5);
-    EXPECT_EQ(hooked, sampler.sampled());
-    EXPECT_GT(hooked, 0u);
+    Rng rng(5);
+    std::uint64_t reported = 0;
+    for (std::uint64_t i = 0; i < 100000; ++i) {
+        const Addr page = alignDown4K(rng.nextBounded(1u << 30));
+        if (sampler.onAccess(page, false, (i & 3) == 0, false, 7)) {
+            ++reported;
+        }
+    }
+    EXPECT_EQ(reported, sampler.sampled());
+    EXPECT_GT(reported, 0u);
 }
 
 // ---------------------------------------------------------------
@@ -215,12 +219,12 @@ TEST(Profiler, TreeInvariantsHold)
 {
     Profiler prof(true);
     for (int i = 0; i < 3; ++i) {
-        ProfileScope outer(&prof, "epoch");
+        PhaseScope outer(&prof, "epoch");
         {
-            ProfileScope inner(&prof, "tick");
+            PhaseScope inner(&prof, "tick");
         }
         {
-            ProfileScope inner(&prof, "stream");
+            PhaseScope inner(&prof, "stream");
         }
     }
     // Nodes: root, epoch, tick, stream.
@@ -245,7 +249,7 @@ TEST(Profiler, DisabledProfilerRecordsNothing)
 {
     Profiler prof(false);
     {
-        ProfileScope scope(&prof, "epoch");
+        PhaseScope scope(&prof, "epoch");
     }
     EXPECT_EQ(prof.nodes().size(), 1u);
     EXPECT_EQ(prof.root().count, 0u);
@@ -255,11 +259,11 @@ TEST(Profiler, SameNameReusesNodePerParent)
 {
     Profiler prof(true);
     {
-        ProfileScope a(&prof, "phase");
-        ProfileScope nested(&prof, "phase");
+        PhaseScope a(&prof, "phase");
+        PhaseScope nested(&prof, "phase");
     }
     {
-        ProfileScope b(&prof, "phase");
+        PhaseScope b(&prof, "phase");
     }
     // Root's "phase" child and its own nested "phase" child.
     ASSERT_EQ(prof.nodes().size(), 3u);
