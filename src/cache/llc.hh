@@ -77,8 +77,14 @@ class LastLevelCache
     /** Drop every line (e.g. after wholesale migration). */
     void flushAll();
 
-    /** Invalidate all lines within one 4KB frame. */
-    void invalidateFrame(Pfn pfn);
+    /**
+     * Invalidate every line of the @p frames 4KB frames starting at
+     * @p first.  A range with fewer lines than the cache has sets is
+     * probed line by line; a larger one (a 2MB page) is cleared in
+     * one pass over every set, which visits each tag once instead of
+     * scanning the same set for many lines.
+     */
+    void invalidateFrames(Pfn first, unsigned frames);
 
     const LlcConfig &config() const { return config_; }
     const LlcStats &stats() const { return stats_; }
@@ -162,10 +168,14 @@ class LastLevelCache
  * the caller from the access's virtual address, so the slice
  * assignment survives migration between frames.  Each slice gets an
  * even share of the aggregate capacity.  A frame is only ever cached
- * in the lane owning its mapping, so maintenance by frame
- * (invalidateFrame) broadcasts and hits at most one lane; contains()
- * probes all lanes.  Results are fixed by the slicing, not by the
- * worker count executing the lanes.
+ * in the slice of the lane owning its mapping: a page never changes
+ * lane, and every frame that was accessed is freed through
+ * PageMigrator::migrate (or with its whole address space), which
+ * invalidates the old frames in that one slice before the allocator
+ * can hand them to another lane's page.  So invalidation targets
+ * lane(laneOf(vaddr)) only; contains() probes all lanes, which is
+ * how the tests audit the invariant.  Results are fixed by the
+ * slicing, not by the worker count executing the lanes.
  */
 class LlcShards
 {
@@ -184,9 +194,6 @@ class LlcShards
 
     /** Drop every line in every lane. */
     void flushAll();
-
-    /** Invalidate all lines of one 4KB frame, in every lane. */
-    void invalidateFrame(Pfn pfn);
 
     LastLevelCache &lane(unsigned lane) { return lanes_[lane]; }
     const LastLevelCache &lane(unsigned lane) const

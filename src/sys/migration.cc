@@ -156,9 +156,8 @@ PageMigrator::migrate(Addr vaddr, Tier target, Ns now)
         space_.remapLeaf(vaddr, new_pfn);
         tlb_.invalidatePage(vaddr);
         if (llc_) {
-            for (unsigned i = 0; i < frames; ++i) {
-                llc_->invalidateFrame(old_pfn + i);
-            }
+            // Only the owning lane's slice ever cached these frames.
+            llc_->lane(laneOf(vaddr)).invalidateFrames(old_pfn, frames);
         }
 
         // Release the old frame(s).

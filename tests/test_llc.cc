@@ -86,14 +86,64 @@ TEST(Llc, FlushAllEmptiesCache)
     EXPECT_FALSE(llc.access(0x2000, AccessType::Read));
 }
 
+/**
+ * Fill @p frames frames from @p first with dirty lines, plus the last
+ * line of the frame before and the first line of the frame after,
+ * invalidate the range, and check that only the range went.
+ */
+void
+checkInvalidateRange(Pfn first, unsigned frames)
+{
+    const LlcConfig config = tinyConfig();
+    LastLevelCache llc(config);
+    const Addr begin = first * kPageSize4K;
+    const Addr end = begin + frames * kPageSize4K;
+    const Addr before = begin - config.lineSize;
+    const Addr after = end;
+    // Lines per set stays within the ways, so nothing is evicted.
+    for (Addr a = begin; a < end; a += config.lineSize) {
+        (void)llc.access(a, AccessType::Write);
+    }
+    (void)llc.access(before, AccessType::Write);
+    (void)llc.access(after, AccessType::Read);
+    ASSERT_TRUE(llc.contains(begin));
+    ASSERT_TRUE(llc.contains(end - config.lineSize));
+    const Count writebacks = llc.stats().writebacks;
+
+    llc.invalidateFrames(first, frames);
+
+    for (Addr a = begin; a < end; a += config.lineSize) {
+        EXPECT_FALSE(llc.contains(a)) << "line " << a;
+    }
+    EXPECT_EQ(llc.stats().writebacks, writebacks)
+        << "invalidation drops dirty lines without writeback";
+    EXPECT_TRUE(llc.contains(before));
+    EXPECT_TRUE(llc.contains(after));
+    // The kept neighbours were the last fill of their sets, so these
+    // hits take the set's hit-way hint.
+    const Count hits = llc.stats().hits;
+    EXPECT_TRUE(llc.access(before, AccessType::Read));
+    EXPECT_TRUE(llc.access(after, AccessType::Read));
+    EXPECT_EQ(llc.stats().hits, hits + 2);
+    // A dropped line misses and refills.
+    EXPECT_FALSE(llc.access(begin, AccessType::Read));
+}
+
 TEST(Llc, InvalidateFrameDropsOnlyThatFrame)
 {
-    LastLevelCache llc(tinyConfig());
-    (void)llc.access(5 * kPageSize4K, AccessType::Read);
-    (void)llc.access(6 * kPageSize4K, AccessType::Read);
-    llc.invalidateFrame(5);
-    EXPECT_FALSE(llc.contains(5 * kPageSize4K));
-    EXPECT_TRUE(llc.contains(6 * kPageSize4K));
+    const LlcConfig config = tinyConfig();
+    const unsigned sets = static_cast<unsigned>(
+        config.sizeBytes / config.lineSize / config.ways);
+    const unsigned lines_per_frame =
+        static_cast<unsigned>(kPageSize4K / config.lineSize);
+    // One frame has fewer lines than the cache has sets: the
+    // line-by-line probe.
+    ASSERT_LT(lines_per_frame, sets);
+    checkInvalidateRange(5, 1);
+    // A range covering every set: the one-pass sweep.
+    const unsigned frames = sets / lines_per_frame;
+    ASSERT_GE(frames * lines_per_frame, sets);
+    checkInvalidateRange(8, frames);
 }
 
 TEST(Llc, ContainsDoesNotPerturb)

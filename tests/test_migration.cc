@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "sim/machine.hh"
 #include "sys/migration.hh"
 
 namespace thermostat
@@ -205,6 +211,196 @@ TEST_F(MigrationTest, DeniedThenRetriedBilledOnce)
     EXPECT_EQ(migrator_.stats().bytesDemoted, kPageSize2M);
     EXPECT_EQ(migrator_.stats().hugeDemotions, 1u);
     EXPECT_EQ(memory_.slow().stats().migrationBytesIn, kPageSize2M);
+}
+
+/**
+ * Lane-ownership audit.  The migrator invalidates a moved page's old
+ * frames only in the LLC slice of the page's lane, and shoots down
+ * only that lane's TLB.  This is sound only if no other slice ever
+ * caches those frames, including frames that the LIFO free lists hand
+ * from one lane's page to another's.  Through a Machine, every page
+ * below is filled line by line before each move; after the move no
+ * line of any freed frame may be resident in any slice.
+ */
+class LaneOwnershipAudit : public ::testing::Test
+{
+  protected:
+    static MachineConfig
+    config()
+    {
+        MachineConfig config;
+        config.fastTier = TierConfig::dram(64_MiB);
+        config.slowTier = TierConfig::slow(64_MiB);
+        return config; // the default LLC holds a 2MB page per slice
+    }
+
+    LaneOwnershipAudit()
+        : machine_(config()),
+          migrator_(machine_.space(), machine_.tlb(), &machine_.llc())
+    {
+        const Addr heap = machine_.space().mapRegion("heap", 16_MiB);
+        for (Addr page = heap; page < heap + 16_MiB;
+             page += kPageSize2M) {
+            pickDistinctLane(page, &huge_);
+        }
+        // Each region sits in its own 2MB window, and all of their
+        // 4KB frames come from one broken fast block.
+        for (int i = 0; i < 8; ++i) {
+            pickDistinctLane(
+                machine_.space().mapRegion("base" + std::to_string(i),
+                                           kPageSize4K, 0, false),
+                &base_);
+        }
+    }
+
+    /** Keep @p page if its lane is new to @p pages (up to three). */
+    static void
+    pickDistinctLane(Addr page, std::vector<Addr> *pages)
+    {
+        for (Addr kept : *pages) {
+            if (laneOf(kept) == laneOf(page)) {
+                return;
+            }
+        }
+        if (pages->size() < 3) {
+            pages->push_back(page);
+        }
+    }
+
+    Pfn
+    frameOf(Addr page)
+    {
+        return machine_.space().pageTable().walk(page).pte->pfn();
+    }
+
+    unsigned
+    framesOf(Addr page)
+    {
+        return machine_.space().pageTable().walk(page).huge
+                   ? kSubpagesPerHuge
+                   : 1u;
+    }
+
+    /** Write every line of every 4KB frame of @p page. */
+    void
+    touch(Addr page)
+    {
+        const unsigned lines =
+            static_cast<unsigned>(kPageSize4K / kLine);
+        for (unsigned i = 0; i < framesOf(page); ++i) {
+            (void)machine_.access(page + i * kPageSize4K,
+                                  AccessType::Write, 1, lines);
+        }
+    }
+
+    /** Lines of the frames [first, first + frames) in any slice. */
+    unsigned
+    residentLines(Pfn first, unsigned frames)
+    {
+        unsigned resident = 0;
+        const Addr end = (first + frames) * kPageSize4K;
+        for (Addr a = first * kPageSize4K; a < end; a += kLine) {
+            resident += machine_.llc().contains(a) ? 1 : 0;
+        }
+        return resident;
+    }
+
+    std::array<Count, kMachineLanes>
+    tlbInvalidations()
+    {
+        std::array<Count, kMachineLanes> counts{};
+        for (unsigned lane = 0; lane < kMachineLanes; ++lane) {
+            const TlbHierarchy &tlb = machine_.tlb().lane(lane);
+            counts[lane] = tlb.l1().stats().invalidations +
+                           tlb.l2().stats().invalidations;
+        }
+        return counts;
+    }
+
+    /**
+     * Move @p page (filled beforehand) to @p target, audit every
+     * frame freed so far and still free, then refill the page at its
+     * new frames.
+     */
+    void
+    moveAndAudit(Addr page, Tier target)
+    {
+        const Pfn old_pfn = frameOf(page);
+        const unsigned frames = framesOf(page);
+        ASSERT_GT(residentLines(old_pfn, frames), 0u)
+            << "audit would be vacuous: page not cached";
+        const auto before = tlbInvalidations();
+
+        ASSERT_TRUE(migrator_.migrate(page, target, 0).moved);
+
+        const auto after = tlbInvalidations();
+        for (unsigned lane = 0; lane < kMachineLanes; ++lane) {
+            if (lane == laneOf(page)) {
+                EXPECT_GT(after[lane], before[lane]) << "lane " << lane;
+            } else {
+                EXPECT_EQ(after[lane], before[lane]) << "lane " << lane;
+            }
+        }
+
+        // The page's new frames are live again; its old ones are free.
+        const Pfn new_pfn = frameOf(page);
+        std::erase_if(freed_, [&](const std::pair<Pfn, unsigned> &r) {
+            return r.first < new_pfn + frames &&
+                   new_pfn < r.first + r.second;
+        });
+        freed_.emplace_back(old_pfn, frames);
+        for (const auto &[first, count] : freed_) {
+            EXPECT_EQ(residentLines(first, count), 0u)
+                << "freed frames at pfn " << first << " still cached";
+        }
+        touch(page);
+    }
+
+    static constexpr Addr kLine = 64;
+
+    Machine machine_;
+    PageMigrator migrator_;
+    std::vector<Addr> huge_;
+    std::vector<Addr> base_;
+    std::vector<std::pair<Pfn, unsigned>> freed_;
+};
+
+TEST_F(LaneOwnershipAudit, FreedFramesLeaveNoLineInAnySlice)
+{
+    ASSERT_EQ(huge_.size(), 3u);
+    ASSERT_EQ(base_.size(), 3u);
+    for (Addr page : huge_) {
+        ASSERT_TRUE(machine_.space().pageTable().walk(page).huge);
+        touch(page);
+    }
+    for (Addr page : base_) {
+        touch(page);
+    }
+
+    // Huge pages: H1's slow copy comes back to the fast frames H0
+    // just left (LIFO), so one lane's freed frames are reused by
+    // another lane's page; H2 then takes H1's old slow frames.
+    const Pfn h0_fast = frameOf(huge_[0]);
+    moveAndAudit(huge_[1], Tier::Slow);
+    moveAndAudit(huge_[0], Tier::Slow);
+    const Pfn h1_slow = frameOf(huge_[1]);
+    moveAndAudit(huge_[1], Tier::Fast);
+    EXPECT_EQ(frameOf(huge_[1]), h0_fast);
+    moveAndAudit(huge_[2], Tier::Slow);
+    EXPECT_EQ(frameOf(huge_[2]), h1_slow);
+    moveAndAudit(huge_[0], Tier::Fast);
+
+    // 4KB pages, the same cross-lane reuse through a broken block's
+    // free list, in both tiers.
+    const Pfn b0_fast = frameOf(base_[0]);
+    moveAndAudit(base_[1], Tier::Slow);
+    moveAndAudit(base_[0], Tier::Slow);
+    const Pfn b1_slow = frameOf(base_[1]);
+    moveAndAudit(base_[1], Tier::Fast);
+    EXPECT_EQ(frameOf(base_[1]), b0_fast);
+    moveAndAudit(base_[2], Tier::Slow);
+    EXPECT_EQ(frameOf(base_[2]), b1_slow);
+    moveAndAudit(base_[0], Tier::Fast);
 }
 
 } // namespace
