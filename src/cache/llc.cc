@@ -28,14 +28,6 @@ LastLevelCache::LastLevelCache(const LlcConfig &config)
     mruWay_.assign(setCount_, 0);
 }
 
-void
-LastLevelCache::recordFrameMiss(Addr paddr)
-{
-    const Pfn huge_base =
-        (paddr >> kPageShift2M) << (kPageShift2M - kPageShift4K);
-    ++frameMisses_[huge_base];
-}
-
 bool
 LastLevelCache::contains(Addr paddr) const
 {
@@ -103,30 +95,6 @@ LastLevelCache::resetStats()
     stats_ = LlcStats();
 }
 
-Count
-LastLevelCache::frameMisses(Pfn huge_frame_base) const
-{
-    const auto it = frameMisses_.find(huge_frame_base);
-    return it == frameMisses_.end() ? 0 : it->value;
-}
-
-void
-LastLevelCache::registerMetrics(MetricRegistry &registry,
-                                const std::string &prefix) const
-{
-    registry.addCallback(prefix + ".hits", [this] {
-        return static_cast<double>(stats_.hits);
-    });
-    registry.addCallback(prefix + ".misses", [this] {
-        return static_cast<double>(stats_.misses);
-    });
-    registry.addCallback(prefix + ".writebacks", [this] {
-        return static_cast<double>(stats_.writebacks);
-    });
-    registry.addCallback(prefix + ".miss_ratio",
-                         [this] { return stats_.missRatio(); });
-}
-
 LlcConfig
 LlcShards::sliceConfig(const LlcConfig &config)
 {
@@ -140,11 +108,12 @@ LlcShards::sliceConfig(const LlcConfig &config)
 }
 
 LlcShards::LlcShards(const LlcConfig &config)
-    : config_(config), laneConfig_(sliceConfig(config))
+    : config_(config)
 {
+    const LlcConfig slice = sliceConfig(config);
     lanes_.reserve(kMachineLanes);
     for (unsigned lane = 0; lane < kMachineLanes; ++lane) {
-        lanes_.emplace_back(laneConfig_);
+        lanes_.emplace_back(slice);
     }
 }
 
@@ -184,24 +153,6 @@ LlcShards::resetStats()
 {
     for (LastLevelCache &lane : lanes_) {
         lane.resetStats();
-    }
-}
-
-Count
-LlcShards::frameMisses(Pfn huge_frame_base) const
-{
-    Count total = 0;
-    for (const LastLevelCache &lane : lanes_) {
-        total += lane.frameMisses(huge_frame_base);
-    }
-    return total;
-}
-
-void
-LlcShards::clearFrameMisses()
-{
-    for (LastLevelCache &lane : lanes_) {
-        lane.clearFrameMisses();
     }
 }
 

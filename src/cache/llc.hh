@@ -2,11 +2,8 @@
  * @file
  * Last-level cache model.
  *
- * Used for two things: (i) charging DRAM/slow-tier latency only on
- * LLC misses, and (ii) providing ground-truth per-page memory access
- * rates ("We describe our methodology for measuring memory access
- * rate in Section 3.3") for the Figure 2 correlation study and for
- * validating the TLB-miss-as-LLC-miss-proxy assumption.
+ * Charges DRAM/slow-tier latency only on LLC misses: a hit costs
+ * hitLatency, a miss goes on to the tier holding the frame.
  */
 
 #ifndef THERMOSTAT_CACHE_LLC_HH
@@ -16,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/types.hh"
 
 namespace thermostat
@@ -31,9 +27,6 @@ struct LlcConfig
     unsigned lineSize = 64;
     unsigned ways = 16;
     Ns hitLatency = 30;
-
-    /** Track per-2MB-frame miss counters (ground truth). */
-    bool trackFrameMisses = false;
 };
 
 /** Hit/miss counters. */
@@ -90,19 +83,6 @@ class LastLevelCache
     const LlcStats &stats() const { return stats_; }
     void resetStats();
 
-    /** Expose the counters under "<prefix>." in @p registry. */
-    void registerMetrics(MetricRegistry &registry,
-                         const std::string &prefix) const;
-
-    /**
-     * Ground-truth misses charged to the 2MB-aligned frame
-     * containing @p pfn2m (only when trackFrameMisses is set).
-     */
-    Count frameMisses(Pfn huge_frame_base) const;
-
-    /** Clear per-frame ground-truth counters. */
-    void clearFrameMisses() { frameMisses_.clear(); }
-
   private:
     /**
      * Lines are split into a packed tag array scanned on every
@@ -135,8 +115,6 @@ class LastLevelCache
                          : static_cast<unsigned>(line % setCount_);
     }
 
-    void recordFrameMiss(Addr paddr);
-
     LlcConfig config_; // shard: read-only
     unsigned setCount_; // shard: read-only
     // shard: read-only
@@ -155,7 +133,6 @@ class LastLevelCache
     std::vector<std::uint32_t> mruWay_; //!< per-set hit-way hint
     std::uint64_t useClock_ = 0; // shard: lane-local
     LlcStats stats_; // shard: lane-local
-    FlatMap<Pfn, Count> frameMisses_; // shard: lane-local
 };
 
 /**
@@ -203,16 +180,10 @@ class LlcShards
 
     /** Aggregate geometry (what the machine was configured with). */
     const LlcConfig &config() const { return config_; }
-    /** Per-lane slice geometry (all lanes are identical). */
-    const LlcConfig &laneConfig() const { return laneConfig_; }
 
     /** Lane-summed counters. */
     LlcStats stats() const;
     void resetStats();
-
-    /** Lane-summed ground-truth frame misses. */
-    Count frameMisses(Pfn huge_frame_base) const;
-    void clearFrameMisses();
 
     /** Register lane-summed counters under "<prefix>.". */
     void registerMetrics(MetricRegistry &registry,
@@ -223,8 +194,7 @@ class LlcShards
 
   private:
     // shard: read-only
-    LlcConfig config_;     //!< aggregate geometry
-    LlcConfig laneConfig_; //!< per-lane slice geometry
+    LlcConfig config_; //!< aggregate geometry
     std::vector<LastLevelCache> lanes_; //!< kMachineLanes slices
 };
 
@@ -280,9 +250,6 @@ LastLevelCache::access(Addr paddr, AccessType type)
     }
 
     ++stats_.misses;
-    if (config_.trackFrameMisses) {
-        recordFrameMiss(paddr);
-    }
     if ((tags[victim] & (kValidBit | kDirtyBit)) ==
         (kValidBit | kDirtyBit)) {
         ++stats_.writebacks;

@@ -2,7 +2,7 @@
  * @file
  * Open-addressing hash map for the simulator's per-page/per-frame
  * counter tables (BadgerTrap fault counts, kstaled idle state, frame
- * wear, LLC ground-truth misses).
+ * wear).
  *
  * These tables sit on the per-access hot path, where
  * `std::unordered_map`'s node allocation and pointer chasing

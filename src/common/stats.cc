@@ -212,14 +212,12 @@ void
 RateMeter::record(Ns now, Count events)
 {
     if (!started_) {
-        firstTime_ = now;
         if (!windowAnchored_) {
             windowStart_ = now;
             windowAnchored_ = true;
         }
         started_ = true;
     }
-    lastTime_ = now;
     total_ += events;
     windowEvents_ += events;
 }
@@ -228,16 +226,6 @@ void
 RateMeter::reset()
 {
     *this = RateMeter();
-}
-
-double
-RateMeter::overallRate()const
-{
-    if (!started_ || lastTime_ == firstTime_) {
-        return 0.0;
-    }
-    return static_cast<double>(total_) * kNsPerSec /
-           static_cast<double>(lastTime_ - firstTime_);
 }
 
 double

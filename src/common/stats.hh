@@ -124,7 +124,7 @@ class TimeSeries
 
 /**
  * Tracks an event rate over simulated time: count events, then query
- * events/sec over the whole run or since the last checkpoint.
+ * events/sec since the last checkpoint.
  */
 class RateMeter
 {
@@ -133,9 +133,6 @@ class RateMeter
     void reset();
 
     Count total() const { return total_; }
-
-    /** Events/sec between the first and last recorded event. */
-    double overallRate() const;
 
     /**
      * Events/sec in the window since the last takeWindow() call;
@@ -146,8 +143,6 @@ class RateMeter
   private:
     Count total_ = 0;
     Count windowEvents_ = 0;
-    Ns firstTime_ = 0;
-    Ns lastTime_ = 0;
     Ns windowStart_ = 0;
     bool started_ = false;
     bool windowAnchored_ = false; //!< takeWindowRate checkpointed

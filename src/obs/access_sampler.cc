@@ -198,18 +198,6 @@ AccessSampler::pageHotnessHistogram() const
     return histogram;
 }
 
-Log2Histogram
-AccessSampler::regionHotnessHistogram() const
-{
-    Log2Histogram histogram;
-    for (const LaneState &lane : lanes_) {
-        for (const Count weight : lane.regionWeight.counts()) {
-            histogram.add(weight);
-        }
-    }
-    return histogram;
-}
-
 std::vector<AccessSampler::RegionRank>
 AccessSampler::hottestRegions(std::size_t n) const
 {

@@ -137,8 +137,6 @@ class AccessSampler
      * everything observed so far (one entry per distinct page).
      */
     Log2Histogram pageHotnessHistogram() const;
-    /** Same at 2MB-region granularity. */
-    Log2Histogram regionHotnessHistogram() const;
 
     /**
      * Raw records, lane-major, oldest first within each lane (empty

@@ -64,233 +64,6 @@ jsonNumber(double value)
     return buf;
 }
 
-namespace
-{
-
-/** Recursive-descent JSON syntax checker. */
-class JsonChecker
-{
-  public:
-    explicit JsonChecker(const std::string &text) : text_(text) {}
-
-    bool
-    check()
-    {
-        skipWs();
-        if (!value(0)) {
-            return false;
-        }
-        skipWs();
-        return pos_ == text_.size();
-    }
-
-  private:
-    static constexpr int kMaxDepth = 64;
-
-    bool
-    value(int depth)
-    {
-        if (depth > kMaxDepth || pos_ >= text_.size()) {
-            return false;
-        }
-        switch (text_[pos_]) {
-          case '{':
-            return object(depth);
-          case '[':
-            return array(depth);
-          case '"':
-            return string();
-          case 't':
-            return literal("true");
-          case 'f':
-            return literal("false");
-          case 'n':
-            return literal("null");
-          default:
-            return number();
-        }
-    }
-
-    bool
-    object(int depth)
-    {
-        ++pos_; // '{'
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!string()) {
-                return false;
-            }
-            skipWs();
-            if (peek() != ':') {
-                return false;
-            }
-            ++pos_;
-            skipWs();
-            if (!value(depth + 1)) {
-                return false;
-            }
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array(int depth)
-    {
-        ++pos_; // '['
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!value(depth + 1)) {
-                return false;
-            }
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    string()
-    {
-        if (peek() != '"') {
-            return false;
-        }
-        ++pos_;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (c == '\\') {
-                ++pos_;
-                if (pos_ >= text_.size()) {
-                    return false;
-                }
-                const char esc = text_[pos_];
-                if (esc == 'u') {
-                    for (int i = 1; i <= 4; ++i) {
-                        if (pos_ + i >= text_.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                text_[pos_ + i]))) {
-                            return false;
-                        }
-                    }
-                    pos_ += 4;
-                } else if (!std::strchr("\"\\/bfnrt", esc)) {
-                    return false;
-                }
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                return false;
-            }
-            ++pos_;
-        }
-        return false; // unterminated
-    }
-
-    bool
-    number()
-    {
-        const std::size_t start = pos_;
-        if (peek() == '-') {
-            ++pos_;
-        }
-        if (!digits()) {
-            return false;
-        }
-        if (peek() == '.') {
-            ++pos_;
-            if (!digits()) {
-                return false;
-            }
-        }
-        if (peek() == 'e' || peek() == 'E') {
-            ++pos_;
-            if (peek() == '+' || peek() == '-') {
-                ++pos_;
-            }
-            if (!digits()) {
-                return false;
-            }
-        }
-        return pos_ > start;
-    }
-
-    bool
-    digits()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-        return pos_ > start;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t len = std::strlen(word);
-        if (text_.compare(pos_, len, word) != 0) {
-            return false;
-        }
-        pos_ += len;
-        return true;
-    }
-
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
-bool
-jsonWellFormed(const std::string &text)
-{
-    return JsonChecker(text).check();
-}
-
 bool
 JsonValue::asBool(bool fallback) const
 {
@@ -342,11 +115,7 @@ JsonValue::members() const
     return kind_ == Kind::Object ? object_ : kEmpty;
 }
 
-/**
- * Recursive-descent parser building the JsonValue DOM.  Kept
- * separate from JsonChecker so the checker stays allocation-free
- * for its validation-only callers.
- */
+/** Recursive-descent parser building the JsonValue DOM. */
 class JsonParser
 {
   public:
@@ -654,6 +423,13 @@ parseJson(const std::string &text, JsonValue *out,
           std::string *error)
 {
     return JsonParser(text).parse(out, error);
+}
+
+bool
+jsonWellFormed(const std::string &text)
+{
+    JsonValue scratch;
+    return parseJson(text, &scratch, nullptr);
 }
 
 void

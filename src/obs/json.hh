@@ -3,10 +3,10 @@
  * Minimal JSON helpers for the observability exporters.
  *
  * JsonWriter is a small append-only builder that handles string
- * escaping and number formatting; jsonWellFormed() is a strict
- * syntax checker used by tests (and by tools that want to validate
- * a dump before shipping it to Perfetto).  Deliberately tiny: no
- * DOM, no parsing into values, no external dependency.
+ * escaping and number formatting.  parseJson() is a strict
+ * recursive-descent parser into a small JsonValue DOM, for tools and
+ * tests that read the exporters' output; jsonWellFormed() is the
+ * same parser with the value thrown away.  No external dependency.
  */
 
 #ifndef THERMOSTAT_OBS_JSON_HH
@@ -28,9 +28,10 @@ std::string jsonEscape(const std::string &s);
 std::string jsonNumber(double value);
 
 /**
- * Strict syntax check of a complete JSON document (one value).
- * Returns false on trailing garbage, unbalanced structure, bad
- * escapes or malformed numbers.
+ * Strict syntax check of a complete JSON document (one value):
+ * parseJson() with the result discarded.  Returns false on trailing
+ * garbage, unbalanced structure, bad escapes, raw control characters,
+ * malformed numbers or nesting deeper than 64 levels.
  */
 bool jsonWellFormed(const std::string &text);
 

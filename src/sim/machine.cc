@@ -303,8 +303,7 @@ Machine::registerMetrics(MetricRegistry &registry,
     });
     tlb_.registerMetrics(registry, prefix + ".tlb");
     llc_.registerMetrics(registry, prefix + ".llc");
-    // Merged walker counters, same names PageWalker::registerMetrics
-    // would emit for a single walker.
+    // Lane-merged walker counters.
     const std::string walker_prefix = prefix + ".walker";
     registry.addCallback(walker_prefix + ".walks_4k", [this] {
         return static_cast<double>(walkerStats().walks4K);

@@ -181,9 +181,6 @@ class PageMigrator
      */
     double takePromotionRate(Ns now) { return promotionMeter_.takeWindowRate(now); }
 
-    double overallDemotionRate() const { return demotionMeter_.overallRate(); }
-    double overallPromotionRate() const { return promotionMeter_.overallRate(); }
-
   private:
     Ns copyCost(std::uint64_t bytes, double slowdown = 1.0) const;
 

@@ -84,40 +84,6 @@ TlbHierarchy::flushAll()
     l2_.flushAll();
 }
 
-void
-Tlb::registerMetrics(MetricRegistry &registry,
-                     const std::string &prefix) const
-{
-    registry.addCallback(prefix + ".hits", [this] {
-        return static_cast<double>(stats_.hits);
-    });
-    registry.addCallback(prefix + ".misses", [this] {
-        return static_cast<double>(stats_.misses);
-    });
-    registry.addCallback(prefix + ".fills", [this] {
-        return static_cast<double>(stats_.fills);
-    });
-    registry.addCallback(prefix + ".evictions", [this] {
-        return static_cast<double>(stats_.evictions);
-    });
-    registry.addCallback(prefix + ".invalidations", [this] {
-        return static_cast<double>(stats_.invalidations);
-    });
-    registry.addCallback(prefix + ".flushes", [this] {
-        return static_cast<double>(stats_.flushes);
-    });
-    registry.addCallback(prefix + ".miss_ratio",
-                         [this] { return stats_.missRatio(); });
-}
-
-void
-TlbHierarchy::registerMetrics(MetricRegistry &registry,
-                              const std::string &prefix) const
-{
-    l1_.registerMetrics(registry, prefix + ".l1");
-    l2_.registerMetrics(registry, prefix + ".l2");
-}
-
 TlbConfig
 TlbShards::sliceConfig(const TlbConfig &config)
 {
@@ -130,12 +96,12 @@ TlbShards::sliceConfig(const TlbConfig &config)
 
 TlbShards::TlbShards(const TlbConfig &l1_config,
                      const TlbConfig &l2_config)
-    : l1Config_(sliceConfig(l1_config)),
-      l2Config_(sliceConfig(l2_config))
 {
+    const TlbConfig l1_slice = sliceConfig(l1_config);
+    const TlbConfig l2_slice = sliceConfig(l2_config);
     lanes_.reserve(kMachineLanes);
     for (unsigned lane = 0; lane < kMachineLanes; ++lane) {
-        lanes_.emplace_back(l1Config_, l2Config_);
+        lanes_.emplace_back(l1_slice, l2_slice);
     }
 }
 
@@ -182,26 +148,6 @@ TlbShards::l2Stats() const
         merged = sumTlbStats(merged, lane.l2().stats());
     }
     return merged;
-}
-
-unsigned
-TlbShards::l1ValidCount() const
-{
-    unsigned n = 0;
-    for (const TlbHierarchy &lane : lanes_) {
-        n += lane.l1().validCount();
-    }
-    return n;
-}
-
-unsigned
-TlbShards::l2ValidCount() const
-{
-    unsigned n = 0;
-    for (const TlbHierarchy &lane : lanes_) {
-        n += lane.l2().validCount();
-    }
-    return n;
 }
 
 void

@@ -94,10 +94,6 @@ class Tlb
     const TlbStats &stats() const { return stats_; }
     void resetStats() { stats_ = TlbStats(); }
 
-    /** Expose the counters under "<prefix>." in @p registry. */
-    void registerMetrics(MetricRegistry &registry,
-                         const std::string &prefix) const;
-
     /** Number of currently valid entries (for tests). */
     unsigned validCount() const;
 
@@ -175,10 +171,6 @@ class TlbHierarchy
     const Tlb &l1() const { return l1_; }
     const Tlb &l2() const { return l2_; }
 
-    /** Register "<prefix>.l1.*" and "<prefix>.l2.*". */
-    void registerMetrics(MetricRegistry &registry,
-                         const std::string &prefix) const;
-
   private:
     Tlb l1_; // shard: lane-local
     Tlb l2_; // shard: lane-local
@@ -241,17 +233,9 @@ class TlbShards
         return lanes_[lane];
     }
 
-    /** Per-lane slice geometry (all lanes are identical). */
-    const TlbConfig &l1Config() const { return l1Config_; }
-    const TlbConfig &l2Config() const { return l2Config_; }
-
     /** Lane-summed counters. */
     TlbStats l1Stats() const;
     TlbStats l2Stats() const;
-
-    /** Valid entries across all lanes, per level. */
-    unsigned l1ValidCount() const;
-    unsigned l2ValidCount() const;
 
     void resetStats();
 
@@ -263,9 +247,6 @@ class TlbShards
     static TlbConfig sliceConfig(const TlbConfig &config);
 
   private:
-    // shard: read-only
-    TlbConfig l1Config_; //!< per-lane slice geometry
-    TlbConfig l2Config_; // shard: read-only
     std::vector<TlbHierarchy> lanes_; //!< kMachineLanes slices
 };
 

@@ -134,7 +134,7 @@ WalkResult
 PageTable::walkSlow(Addr vaddr)
 {
     const Addr tag = vaddr >> kPageShift2M;
-    WalkCacheEntry &slot = walkCache_[walkCacheSlot(tag)];
+    WalkCacheEntry &slot = walkCache_[walkCacheSlot(vaddr)];
     Node *pd = pdNodeFor(vaddr, false);
     if (!pd) {
         return {};
@@ -161,7 +161,7 @@ PageTable::RegionLeaves
 PageTable::regionLeaves(Addr region_base)
 {
     const Addr tag = region_base >> kPageShift2M;
-    WalkCacheEntry &slot = walkCache_[walkCacheSlot(tag)];
+    WalkCacheEntry &slot = walkCache_[walkCacheSlot(region_base)];
     if (slot.tag == tag && slot.gen == walkGen_) {
         return {slot.pdEntry, slot.ptEntries};
     }

@@ -138,21 +138,20 @@ class PageTable
     }
 
     /**
-     * Walk-cache slot for a 2MB-region tag.  The cache is
-     * partitioned into kMachineLanes equal segments, each indexed
-     * only by the lane owning the region (same hash as laneOf), so
+     * Walk-cache slot for the 2MB region holding @p vaddr.  The
+     * cache is partitioned into kMachineLanes equal segments, each
+     * indexed only by laneOf(vaddr), the lane owning the region, so
      * concurrent lane workers never collide on a slot and the
      * partitioning is semantically invisible -- the cache is pure
      * memoization, walk() returns identical results on hit or miss.
      */
     static std::size_t
-    walkCacheSlot(Addr tag)
+    walkCacheSlot(Addr vaddr)
     {
         constexpr std::size_t kSlotsPerLane =
             kWalkCacheSize / kMachineLanes;
-        const auto lane = static_cast<std::size_t>(
-            (tag * 0x9e3779b97f4a7c15ULL) >> 61);
-        return lane * kSlotsPerLane + (tag & (kSlotsPerLane - 1));
+        return laneOf(vaddr) * kSlotsPerLane +
+               (vpn2M(vaddr) & (kSlotsPerLane - 1));
     }
 
     /** Full table descent on a walk-cache miss; fills the slot. */
@@ -188,7 +187,7 @@ inline WalkResult
 PageTable::walk(Addr vaddr)
 {
     const Addr tag = vaddr >> kPageShift2M;
-    WalkCacheEntry &slot = walkCache_[walkCacheSlot(tag)];
+    WalkCacheEntry &slot = walkCache_[walkCacheSlot(vaddr)];
     if (slot.tag == tag && slot.gen == walkGen_) {
         if (slot.pdEntry) {
             return {slot.pdEntry, true};

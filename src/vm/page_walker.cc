@@ -1,7 +1,5 @@
 #include "vm/page_walker.hh"
 
-#include "obs/metrics.hh"
-
 #include <cmath>
 
 namespace thermostat
@@ -25,24 +23,6 @@ PageWalker::PageWalker(const WalkerConfig &config)
             static_cast<double>(accesses_[huge]) * factor *
             static_cast<double>(config_.tableAccessLatency)));
     }
-}
-
-void
-PageWalker::registerMetrics(MetricRegistry &registry,
-                            const std::string &prefix) const
-{
-    registry.addCallback(prefix + ".walks_4k", [this] {
-        return static_cast<double>(stats_.walks4K);
-    });
-    registry.addCallback(prefix + ".walks_2m", [this] {
-        return static_cast<double>(stats_.walks2M);
-    });
-    registry.addCallback(prefix + ".table_accesses", [this] {
-        return static_cast<double>(stats_.tableAccesses);
-    });
-    registry.addCallback(prefix + ".total_walk_ns", [this] {
-        return static_cast<double>(stats_.totalWalkTime);
-    });
 }
 
 } // namespace thermostat

@@ -14,15 +14,12 @@
 #define THERMOSTAT_VM_PAGE_WALKER_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/types.hh"
 #include "vm/page_table.hh"
 
 namespace thermostat
 {
-
-class MetricRegistry;
 
 /** Whether walks are native or two-dimensional (nested paging). */
 enum class PagingMode : std::uint8_t { Native, Nested };
@@ -100,10 +97,6 @@ class PageWalker
     WalkOutcome walk(PageTable &table, Addr vaddr, AccessType type);
 
     void resetStats() { stats_ = WalkerStats(); }
-
-    /** Expose the counters under "<prefix>." in @p registry. */
-    void registerMetrics(MetricRegistry &registry,
-                         const std::string &prefix) const;
 
   private:
     WalkerConfig config_; // shard: read-only

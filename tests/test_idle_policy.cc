@@ -22,7 +22,7 @@ class IdlePolicyTest : public ::testing::Test
           tlb_({64, 4}, {1024, 8}),
           trap_(space_, tlb_),
           kstaled_(space_, tlb_),
-          llc_({64 * 1024, 64, 4, 30, false}),
+          llc_({64 * 1024, 64, 4, 30}),
           migrator_(space_, tlb_, &llc_),
           policy_(space_, kstaled_, migrator_, trap_, config())
     {

@@ -4,8 +4,8 @@
  * (line-local and cross-TU) fires on its seeded fixture, allowlisted
  * paths and inline/baseline suppressions stay quiet, the tokenizer
  * ignores raw strings and line continuations, the JSON and SARIF
- * reports keep their schemas, the incremental cache hits and misses
- * correctly, and the repository itself lints clean under --ci.
+ * reports keep their schemas, an unknown option is a usage error,
+ * and the repository itself lints clean under --ci.
  *
  * Fixtures live under tests/lint_fixtures/, which the lint tool's
  * tree walk skips so the deliberate violations never pollute a real
@@ -17,8 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -266,11 +264,9 @@ TEST(Lint, JsonReportSchema)
     std::string error;
     ASSERT_TRUE(parseJson(r.output, &doc, &error))
         << error << "\n" << r.output;
-    EXPECT_EQ(doc.member("version").asNumber(), 2.0);
+    EXPECT_EQ(doc.member("version").asNumber(), 3.0);
     EXPECT_EQ(doc.member("checkedFiles").asNumber(), 1.0);
     EXPECT_EQ(doc.member("baselinedFindings").asNumber(), 0.0);
-    EXPECT_TRUE(doc.hasMember("cacheHits"));
-    EXPECT_TRUE(doc.hasMember("cacheMisses"));
     ASSERT_TRUE(doc.member("findings").isArray());
     ASSERT_FALSE(doc.member("findings").elements().empty());
     const JsonValue &finding = doc.member("findings").elements()[0];
@@ -330,53 +326,18 @@ TEST(Lint, SarifReportValidates)
               0.0);
 }
 
-// The content-hash incremental cache: a second run over an
-// unchanged tree replays from the cache (and still reports the
-// findings); touching the file's content invalidates its entry.
-TEST(Lint, IncrementalCacheHitsAndMisses)
+// An option the tool does not know prints the usage text and exits
+// 2, the environment-error status, before any file is scanned.
+TEST(Lint, UnknownOptionIsAUsageError)
 {
-    namespace fs = std::filesystem;
-    const fs::path tmp =
-        fs::path(::testing::TempDir()) / "lint_cache_test";
-    fs::remove_all(tmp);
-    fs::create_directories(tmp / "src");
-    const fs::path file = tmp / "src" / "victim.cc";
-    {
-        std::ofstream out(file);
-        out << "#include <unordered_map>\n"
-            << "std::unordered_map<int, int> table_;\n";
-    }
-    const std::string base = std::string("--root '") +
-                             tmp.string() + "' --cache '" +
-                             (tmp / "cache.tsv").string() + "' src";
-
-    const LintResult cold = runLint(base);
-    EXPECT_EQ(cold.exitCode, 1) << cold.output;
-    EXPECT_NE(cold.output.find("cache: 0 hits, 1 misses"),
+    const LintResult r = runLint("--no-such-option x");
+    EXPECT_EQ(r.exitCode, 2) << r.output;
+    EXPECT_NE(r.output.find("unknown option --no-such-option"),
               std::string::npos)
-        << cold.output;
-
-    const LintResult warm = runLint(base);
-    EXPECT_EQ(warm.exitCode, 1) << warm.output;
-    EXPECT_NE(warm.output.find("cache: 1 hits, 0 misses"),
+        << r.output;
+    EXPECT_NE(r.output.find("usage: thermostat_lint"),
               std::string::npos)
-        << warm.output;
-    // The finding replays from the cache, not a rescan.
-    EXPECT_NE(warm.output.find("[hot-path-unordered-map]"),
-              std::string::npos)
-        << warm.output;
-
-    {
-        std::ofstream out(file, std::ios::app);
-        out << "// touched\n";
-    }
-    const LintResult touched = runLint(base);
-    EXPECT_EQ(touched.exitCode, 1) << touched.output;
-    EXPECT_NE(touched.output.find("cache: 0 hits, 1 misses"),
-              std::string::npos)
-        << touched.output;
-
-    fs::remove_all(tmp);
+        << r.output;
 }
 
 // --list-rules names every rule the fixtures exercise.

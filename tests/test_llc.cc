@@ -156,29 +156,6 @@ TEST(Llc, ContainsDoesNotPerturb)
     EXPECT_EQ(llc.stats().hits, hits);
 }
 
-TEST(Llc, FrameMissTrackingWhenEnabled)
-{
-    LlcConfig config = tinyConfig();
-    config.trackFrameMisses = true;
-    LastLevelCache llc(config);
-    // Two misses within the first 2MB region.
-    (void)llc.access(0x0, AccessType::Read);
-    (void)llc.access(kPageSize4K, AccessType::Read);
-    // One miss in the second 2MB region.
-    (void)llc.access(kPageSize2M, AccessType::Read);
-    EXPECT_EQ(llc.frameMisses(0), 2u);
-    EXPECT_EQ(llc.frameMisses(kSubpagesPerHuge), 1u);
-    llc.clearFrameMisses();
-    EXPECT_EQ(llc.frameMisses(0), 0u);
-}
-
-TEST(Llc, FrameMissTrackingDisabledByDefault)
-{
-    LastLevelCache llc(tinyConfig());
-    (void)llc.access(0x0, AccessType::Read);
-    EXPECT_EQ(llc.frameMisses(0), 0u);
-}
-
 TEST(Llc, ResetStats)
 {
     LastLevelCache llc(tinyConfig());

@@ -71,7 +71,7 @@ class MigrateQueueTest : public ::testing::Test
         : memory_(TierConfig::dram(64_MiB), TierConfig::slow(64_MiB)),
           space_(memory_),
           tlb_({64, 4}, {1024, 8}),
-          llc_({64 * 1024, 64, 4, 30, false}),
+          llc_({64 * 1024, 64, 4, 30}),
           migrator_(space_, tlb_, &llc_),
           trap_(space_, tlb_),
           txn_(space_, migrator_),

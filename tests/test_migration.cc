@@ -25,7 +25,7 @@ class MigrationTest : public ::testing::Test
         : memory_(TierConfig::dram(64_MiB), TierConfig::slow(64_MiB)),
           space_(memory_),
           tlb_({64, 4}, {1024, 8}),
-          llc_({64 * 1024, 64, 4, 30, false}),
+          llc_({64 * 1024, 64, 4, 30}),
           migrator_(space_, tlb_, &llc_)
     {
         heap_ = space_.mapRegion("heap", 8_MiB);

@@ -307,6 +307,29 @@ TEST(JsonParser, RejectsMalformedInput)
     EXPECT_FALSE(parseJson("", &doc, &error));
     EXPECT_FALSE(parseJson("{\"a\":1} trailing", &doc, &error));
     EXPECT_FALSE(parseJson("[1,2,", &doc, &error));
+
+    // jsonWellFormed() is parseJson() with the value discarded, so
+    // both reject every malformed shape: a bad escape, a raw control
+    // character, a short \u escape, a bare exponent, a lone minus,
+    // and a value nested 65 levels deep (the limit is 64).
+    const std::string bad[] = {
+        "\"a\\qb\"",
+        "\"a\tb\"",
+        "\"\\u12\"",
+        "1e",
+        "-",
+        std::string(65, '[') + "1" + std::string(65, ']'),
+    };
+    for (const std::string &text : bad) {
+        error.clear();
+        EXPECT_FALSE(parseJson(text, &doc, &error)) << text;
+        EXPECT_FALSE(error.empty()) << text;
+        EXPECT_FALSE(jsonWellFormed(text)) << text;
+    }
+    const std::string deepest =
+        std::string(64, '[') + "1" + std::string(64, ']');
+    EXPECT_TRUE(parseJson(deepest, &doc, &error)) << error;
+    EXPECT_TRUE(jsonWellFormed(deepest));
 }
 
 TEST(JsonParser, RoundTripsWriterOutput)

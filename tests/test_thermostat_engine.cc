@@ -29,7 +29,7 @@ class EngineTest : public ::testing::Test
           tlb_({64, 4}, {1024, 8}),
           trap_(space_, tlb_),
           kstaled_(space_, tlb_),
-          llc_({64 * 1024, 64, 4, 30, false}),
+          llc_({64 * 1024, 64, 4, 30}),
           migrator_(space_, tlb_, &llc_),
           cgroup_("test", makeParams()),
           engine_(cgroup_, space_, trap_, kstaled_, migrator_,

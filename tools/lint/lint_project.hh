@@ -1,8 +1,8 @@
 /**
  * @file
  * Cross-TU project passes of thermostat_lint.  Consumes the
- * FileFacts produced (or cache-replayed) by the per-file scanner and
- * evaluates the rules that need a whole-project view:
+ * FileFacts produced by the per-file scanner and evaluates the
+ * rules that need a whole-project view:
  *
  *  - subsystem-layering:     #include edges vs the layering DAG
  *  - rng-stream-discipline:  seed derivation, salt uniqueness,

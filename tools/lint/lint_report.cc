@@ -55,9 +55,7 @@ renderText(const Report &report)
     os << report.filesScanned << " files checked, "
        << report.findings.size() << " finding"
        << (report.findings.size() == 1 ? "" : "s") << " ("
-       << report.baselined << " baselined; cache: "
-       << report.cacheHits << " hits, " << report.cacheMisses
-       << " misses)\n";
+       << report.baselined << " baselined)\n";
     return os.str();
 }
 
@@ -65,11 +63,9 @@ std::string
 renderJson(const Report &report)
 {
     std::ostringstream os;
-    os << "{\n  \"version\": 2,\n";
+    os << "{\n  \"version\": 3,\n";
     os << "  \"checkedFiles\": " << report.filesScanned << ",\n";
     os << "  \"baselinedFindings\": " << report.baselined << ",\n";
-    os << "  \"cacheHits\": " << report.cacheHits << ",\n";
-    os << "  \"cacheMisses\": " << report.cacheMisses << ",\n";
     os << "  \"findings\": [";
     for (std::size_t i = 0; i < report.findings.size(); ++i) {
         const Finding &f = report.findings[i];

@@ -34,8 +34,6 @@ struct Report
     std::vector<std::pair<std::string, std::size_t>> unusedBaseline;
     std::size_t filesScanned = 0;
     std::size_t baselined = 0; //!< findings the baseline absorbed
-    std::size_t cacheHits = 0;
-    std::size_t cacheMisses = 0;
     bool ci = false; //!< unused baseline entries were promoted
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <regex>
-#include <sstream>
 
 #include "lint_source.hh"
 
@@ -505,127 +504,6 @@ scanEventEnum(const std::vector<LineView> &lines, FileFacts *facts)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Cache serialization
-// ---------------------------------------------------------------------------
-
-std::string
-escapeField(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '|':
-            out += "\\p";
-            break;
-          default:
-            out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-unescapeField(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 >= s.size()) {
-            out += s[i];
-            continue;
-        }
-        ++i;
-        switch (s[i]) {
-          case 'n':
-            out += '\n';
-            break;
-          case 'p':
-            out += '|';
-            break;
-          default:
-            out += s[i];
-        }
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitFields(const std::string &line)
-{
-    std::vector<std::string> fields;
-    std::string cur;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        if (line[i] == '\\' && i + 1 < line.size()) {
-            cur += line[i];
-            cur += line[i + 1];
-            ++i;
-            continue;
-        }
-        if (line[i] == '|') {
-            fields.push_back(cur);
-            cur.clear();
-            continue;
-        }
-        cur += line[i];
-    }
-    fields.push_back(cur);
-    for (std::string &f : fields) {
-        f = unescapeField(f);
-    }
-    return fields;
-}
-
-std::string
-encodeSite(const FactSite &site)
-{
-    std::string flags;
-    if (site.shardMarked) {
-        flags += 's';
-    }
-    if (site.rngMarked) {
-        flags += 'r';
-    }
-    std::string allows;
-    for (const std::string &a : site.allows) {
-        allows += allows.empty() ? a : "," + a;
-    }
-    std::ostringstream os;
-    os << site.line << "|" << flags << "|" << escapeField(allows)
-       << "|" << escapeField(site.snippet);
-    return os.str();
-}
-
-/** Decode the 4 site fields starting at fields[at]. */
-bool
-decodeSite(const std::vector<std::string> &fields, std::size_t at,
-           FactSite *site)
-{
-    if (fields.size() < at + 4) {
-        return false;
-    }
-    site->line = std::strtoull(fields[at].c_str(), nullptr, 10);
-    site->shardMarked =
-        fields[at + 1].find('s') != std::string::npos;
-    site->rngMarked = fields[at + 1].find('r') != std::string::npos;
-    std::stringstream allows(fields[at + 2]);
-    std::string token;
-    while (std::getline(allows, token, ',')) {
-        if (!token.empty()) {
-            site->allows.insert(token);
-        }
-    }
-    site->snippet = fields[at + 3];
-    return true;
-}
-
 } // namespace
 
 FileFacts
@@ -633,7 +511,6 @@ scanFile(const std::string &rel, const std::string &text)
 {
     FileFacts facts;
     facts.path = rel;
-    facts.hash = fnv1a(text);
     const std::vector<LineView> lines = splitLines(text);
 
     const bool shardHeader = inScopeList("shard-unsynced-state", rel);
@@ -679,181 +556,6 @@ scanFile(const std::string &rel, const std::string &text)
         scanEventEnum(lines, &facts);
     }
     return facts;
-}
-
-std::string
-serializeFacts(const FileFacts &facts)
-{
-    std::ostringstream os;
-    os << "F|" << escapeField(facts.path) << "|" << std::hex
-       << facts.hash << std::dec << "\n";
-    for (const Finding &f : facts.lineFindings) {
-        os << "L|" << f.line << "|" << escapeField(f.rule) << "|"
-           << escapeField(f.message) << "|" << escapeField(f.snippet)
-           << "\n";
-    }
-    for (const IncludeFact &f : facts.includes) {
-        os << "I|" << encodeSite(f.at) << "|"
-           << escapeField(f.target) << "\n";
-    }
-    for (const MetricFact &f : facts.metrics) {
-        os << "M|" << encodeSite(f.at) << "|"
-           << (f.prefixArg ? "p" : "") << "|"
-           << escapeField(f.literal) << "\n";
-    }
-    for (const EventUseFact &f : facts.events) {
-        os << "E|" << encodeSite(f.at) << "|" << escapeField(f.kind)
-           << "\n";
-    }
-    for (const std::string &e : facts.eventEnumerators) {
-        os << "K|" << escapeField(e) << "\n";
-    }
-    for (const RngFact &f : facts.rngs) {
-        std::string flags;
-        if (f.construction) {
-            flags += 'c';
-        }
-        if (f.hasSalt) {
-            flags += 'h';
-        }
-        os << "R|" << encodeSite(f.at) << "|" << flags << "|"
-           << std::hex << f.salt << std::dec << "|"
-           << escapeField(f.args) << "\n";
-    }
-    for (const MemberFact &f : facts.members) {
-        std::string flags;
-        if (f.laneNamed) {
-            flags += 'l';
-        }
-        if (f.guarded) {
-            flags += 'g';
-        }
-        if (f.rngTyped) {
-            flags += 'r';
-        }
-        os << "D|" << encodeSite(f.at) << "|" << flags << "|"
-           << escapeField(f.name) << "|"
-           << escapeField(f.classification) << "\n";
-    }
-    for (const MethodFact &f : facts.methods) {
-        std::string flags;
-        if (f.laneScoped) {
-            flags += 'l';
-        }
-        if (f.synced) {
-            flags += 's';
-        }
-        if (f.blessed) {
-            flags += 'b';
-        }
-        os << "X|" << escapeField(f.name) << "|" << f.sigLine << "|"
-           << f.bodyEnd << "|" << flags << "\n";
-    }
-    for (const TokenRefFact &f : facts.tokenRefs) {
-        os << "T|" << encodeSite(f.at) << "|"
-           << escapeField(f.token) << "\n";
-    }
-    return os.str();
-}
-
-bool
-parseFacts(const std::vector<std::string> &lines, std::size_t *pos,
-           FileFacts *out)
-{
-    if (*pos >= lines.size()) {
-        return false;
-    }
-    {
-        const std::vector<std::string> fields =
-            splitFields(lines[*pos]);
-        if (fields.size() != 3 || fields[0] != "F") {
-            return false;
-        }
-        out->path = fields[1];
-        out->hash = std::strtoull(fields[2].c_str(), nullptr, 16);
-        ++*pos;
-    }
-    while (*pos < lines.size()) {
-        const std::string &line = lines[*pos];
-        if (line.empty()) {
-            ++*pos;
-            continue;
-        }
-        if (line[0] == 'F') {
-            break; // next file's records
-        }
-        const std::vector<std::string> fields = splitFields(line);
-        const std::string &tag = fields[0];
-        bool ok = true;
-        if (tag == "L" && fields.size() == 5) {
-            Finding f;
-            f.file = out->path;
-            f.line = std::strtoull(fields[1].c_str(), nullptr, 10);
-            f.rule = fields[2];
-            f.message = fields[3];
-            f.snippet = fields[4];
-            out->lineFindings.push_back(std::move(f));
-        } else if (tag == "I" && fields.size() == 6) {
-            IncludeFact f;
-            ok = decodeSite(fields, 1, &f.at);
-            f.target = fields[5];
-            out->includes.push_back(std::move(f));
-        } else if (tag == "M" && fields.size() == 7) {
-            MetricFact f;
-            ok = decodeSite(fields, 1, &f.at);
-            f.prefixArg = fields[5].find('p') != std::string::npos;
-            f.literal = fields[6];
-            out->metrics.push_back(std::move(f));
-        } else if (tag == "E" && fields.size() == 6) {
-            EventUseFact f;
-            ok = decodeSite(fields, 1, &f.at);
-            f.kind = fields[5];
-            out->events.push_back(std::move(f));
-        } else if (tag == "K" && fields.size() == 2) {
-            out->eventEnumerators.push_back(fields[1]);
-        } else if (tag == "R" && fields.size() == 8) {
-            RngFact f;
-            ok = decodeSite(fields, 1, &f.at);
-            f.construction =
-                fields[5].find('c') != std::string::npos;
-            f.hasSalt = fields[5].find('h') != std::string::npos;
-            f.salt = std::strtoull(fields[6].c_str(), nullptr, 16);
-            f.args = fields[7];
-            out->rngs.push_back(std::move(f));
-        } else if (tag == "D" && fields.size() == 8) {
-            MemberFact f;
-            ok = decodeSite(fields, 1, &f.at);
-            f.laneNamed = fields[5].find('l') != std::string::npos;
-            f.guarded = fields[5].find('g') != std::string::npos;
-            f.rngTyped = fields[5].find('r') != std::string::npos;
-            f.name = fields[6];
-            f.classification = fields[7];
-            out->members.push_back(std::move(f));
-        } else if (tag == "X" && fields.size() == 5) {
-            MethodFact f;
-            f.name = fields[1];
-            f.sigLine =
-                std::strtoull(fields[2].c_str(), nullptr, 10);
-            f.bodyEnd =
-                std::strtoull(fields[3].c_str(), nullptr, 10);
-            f.laneScoped = fields[4].find('l') != std::string::npos;
-            f.synced = fields[4].find('s') != std::string::npos;
-            f.blessed = fields[4].find('b') != std::string::npos;
-            out->methods.push_back(std::move(f));
-        } else if (tag == "T" && fields.size() == 6) {
-            TokenRefFact f;
-            ok = decodeSite(fields, 1, &f.at);
-            f.token = fields[5];
-            out->tokenRefs.push_back(std::move(f));
-        } else {
-            return false;
-        }
-        if (!ok) {
-            return false;
-        }
-        ++*pos;
-    }
-    return true;
 }
 
 } // namespace lint

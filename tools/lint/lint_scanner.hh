@@ -4,11 +4,6 @@
  * extracts the symbol facts (includes, metric/trace registrations,
  * RNG constructions, sharded-member declarations, method spans and
  * member references) the cross-TU project passes consume.
- *
- * A FileFacts is self-contained and serializable, which is what
- * makes the content-hash incremental cache sound: a cache hit
- * replays both the file's findings and its contribution to the
- * project model without re-reading the source.
  */
 
 #ifndef THERMOSTAT_LINT_SCANNER_HH
@@ -100,7 +95,6 @@ struct TokenRefFact
 struct FileFacts
 {
     std::string path; //!< root-relative
-    std::uint64_t hash = 0;
     std::vector<Finding> lineFindings; //!< pre-baseline
     std::vector<IncludeFact> includes;
     std::vector<MetricFact> metrics;
@@ -114,17 +108,6 @@ struct FileFacts
 
 /** Run the per-file pass over @p text for root-relative @p rel. */
 FileFacts scanFile(const std::string &rel, const std::string &text);
-
-/** Serialize @p facts as cache records (newline-terminated). */
-std::string serializeFacts(const FileFacts &facts);
-
-/**
- * Parse one file's cache records from @p lines[pos...], advancing
- * @p pos past them.  Returns false on malformed input (the caller
- * treats the whole cache as cold).
- */
-bool parseFacts(const std::vector<std::string> &lines,
-                std::size_t *pos, FileFacts *out);
 
 } // namespace lint
 } // namespace thermostat

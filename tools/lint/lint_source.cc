@@ -232,16 +232,5 @@ trim(const std::string &s)
     return s.substr(b, e - b);
 }
 
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 } // namespace lint
 } // namespace thermostat

@@ -15,7 +15,6 @@
 #ifndef THERMOSTAT_LINT_SOURCE_HH
 #define THERMOSTAT_LINT_SOURCE_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -44,9 +43,6 @@ std::vector<LineView> splitLines(const std::string &text);
 
 /** Strip leading/trailing whitespace. */
 std::string trim(const std::string &s);
-
-/** FNV-1a 64-bit content hash (incremental-cache keys). */
-std::uint64_t fnv1a(const std::string &s);
 
 } // namespace lint
 } // namespace thermostat

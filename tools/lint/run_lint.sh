@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
 # Build (if needed) and run thermostat_lint over the repository with
-# the checked-in suppression baseline and the build-tree incremental
-# cache.  Extra arguments are passed through (e.g. --ci, --format
-# sarif, --list-rules, or explicit paths).
+# the checked-in suppression baseline.  Extra arguments are passed
+# through (e.g. --ci, --format sarif, --list-rules, or explicit paths).
 #
-#   --timing   run a cold full-repo lint (cache cleared first),
-#              print a "lint_full" timing row, and fail if the cold
-#              scan takes 5 s or longer.
+#   --timing   run a full-repo lint, print a "lint_full" timing row,
+#              and fail if the scan takes 5 s or longer.
 #
 # Exit status mirrors the tool: 0 clean, 1 findings, 2 error.
 set -euo pipefail
@@ -14,7 +12,6 @@ cd "$(dirname "$0")/../.." || exit
 
 build_dir="${BUILD_DIR:-build}"
 lint_bin="$build_dir/tools/lint/thermostat_lint"
-cache_file="$build_dir/lint_cache.tsv"
 
 if [[ ! -x "$lint_bin" ]]; then
     cmake -B "$build_dir" -S . >/dev/null
@@ -23,10 +20,9 @@ fi
 
 if [[ "${1:-}" == "--timing" ]]; then
     shift
-    rm -f "$cache_file"
     start_ns=$(date +%s%N)
     status=0
-    "$lint_bin" --root . --cache "$cache_file" "$@" || status=$?
+    "$lint_bin" --root . "$@" || status=$?
     end_ns=$(date +%s%N)
     elapsed_ms=$(( (end_ns - start_ns) / 1000000 ))
     printf 'lint_full cold_ms=%d budget_ms=5000\n' "$elapsed_ms"
@@ -37,4 +33,4 @@ if [[ "${1:-}" == "--timing" ]]; then
     exit "$status"
 fi
 
-exec "$lint_bin" --root . --cache "$cache_file" "$@"
+exec "$lint_bin" --root . "$@"

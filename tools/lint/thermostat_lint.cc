@@ -1,9 +1,9 @@
 /**
  * @file
  * thermostat_lint driver: collects files, runs the per-file scanner
- * in parallel over the shared ThreadPool (with a content-hash
- * incremental cache), evaluates the cross-TU project rules, applies
- * the suppression baseline and renders text/JSON/SARIF.
+ * in parallel over the shared ThreadPool, evaluates the cross-TU
+ * project rules, applies the suppression baseline and renders
+ * text/JSON/SARIF.  Every run scans every file.
  *
  * The rule implementations live in the lint library next to this
  * file: lint_source (tokenizer), lint_rules (registry + baseline),
@@ -18,7 +18,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,8 +36,6 @@ using namespace thermostat::lint;
 
 namespace
 {
-
-const char *const kCacheHeader = "thermostat-lint-cache v2";
 
 bool
 lintableExtension(const fs::path &p)
@@ -99,57 +96,6 @@ relativeTo(const fs::path &file, const fs::path &root)
     return rel.generic_string();
 }
 
-/** Cache file -> facts keyed by root-relative path.  Any parse
- * hiccup makes the whole cache cold (it is only an accelerator). */
-std::map<std::string, FileFacts>
-loadCache(const std::string &path)
-{
-    std::map<std::string, FileFacts> cache;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        return cache;
-    }
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) {
-        lines.push_back(line);
-    }
-    if (lines.empty() || lines[0] != kCacheHeader) {
-        return cache;
-    }
-    std::size_t pos = 1;
-    while (pos < lines.size()) {
-        if (lines[pos].empty()) {
-            ++pos;
-            continue;
-        }
-        FileFacts facts;
-        if (!parseFacts(lines, &pos, &facts)) {
-            cache.clear();
-            return cache;
-        }
-        cache.emplace(facts.path, std::move(facts));
-    }
-    return cache;
-}
-
-void
-storeCache(const std::string &path,
-           const std::vector<FileFacts> &files)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-        std::fprintf(stderr,
-                     "thermostat_lint: cannot write cache %s\n",
-                     path.c_str());
-        return;
-    }
-    out << kCacheHeader << "\n";
-    for (const FileFacts &facts : files) {
-        out << serializeFacts(facts);
-    }
-}
-
 void
 usage(std::FILE *to)
 {
@@ -157,16 +103,15 @@ usage(std::FILE *to)
         to,
         "usage: thermostat_lint [--root DIR] [--baseline FILE]\n"
         "                       [--format text|json|sarif] [--json]\n"
-        "                       [--out FILE] [--cache FILE] [--ci]\n"
+        "                       [--out FILE] [--ci]\n"
         "                       [--list-rules] [paths...]\n"
         "\n"
         "Scans paths (default: src bench tools tests under --root)\n"
         "for determinism/concurrency/convention violations, then\n"
         "runs the cross-TU project rules (subsystem layering DAG,\n"
         "RNG-stream discipline, metric/trace schema audit,\n"
-        "merge-barrier escape).  --cache enables the content-hash\n"
-        "incremental cache; --ci promotes unused baseline entries\n"
-        "to errors.  Exit: 0 clean, 1 findings, 2 error.\n");
+        "merge-barrier escape).  --ci promotes unused baseline\n"
+        "entries to errors.  Exit: 0 clean, 1 findings, 2 error.\n");
 }
 
 } // namespace
@@ -180,7 +125,6 @@ main(int argc, char **argv)
     Format format = Format::Text;
     bool ci = false;
     std::string out_path;
-    std::string cache_path;
     std::vector<std::string> paths;
 
     for (int i = 1; i < argc; ++i) {
@@ -217,8 +161,6 @@ main(int argc, char **argv)
             }
         } else if (arg == "--out") {
             out_path = next("--out");
-        } else if (arg == "--cache") {
-            cache_path = next("--cache");
         } else if (arg == "--ci") {
             ci = true;
         } else if (arg == "--list-rules") {
@@ -286,16 +228,10 @@ main(int argc, char **argv)
         collectFiles(full, &files);
     }
 
-    std::map<std::string, FileFacts> cache;
-    if (!cache_path.empty()) {
-        cache = loadCache(cache_path);
-    }
-
     // Per-file pass: parallel over the shared pool, results written
     // into index-disjoint slots so ordering stays deterministic.
     std::vector<FileFacts> allFacts(files.size());
     std::vector<std::string> readErrors(files.size());
-    std::vector<char> hits(files.size(), 0);
     {
         ThreadPool pool;
         pool.parallelFor(
@@ -307,16 +243,8 @@ main(int argc, char **argv)
                 }
                 std::ostringstream buf;
                 buf << in.rdbuf();
-                const std::string text = buf.str();
-                const std::string rel = relativeTo(files[i], root);
-                const auto it = cache.find(rel);
-                if (it != cache.end() &&
-                    it->second.hash == fnv1a(text)) {
-                    allFacts[i] = it->second;
-                    hits[i] = 1;
-                    return;
-                }
-                allFacts[i] = scanFile(rel, text);
+                allFacts[i] = scanFile(relativeTo(files[i], root),
+                                       buf.str());
             });
         pool.wait();
     }
@@ -328,13 +256,8 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (!cache_path.empty()) {
-        storeCache(cache_path, allFacts);
-    }
-
-    // Project passes always run fresh from the (possibly replayed)
-    // facts; the DESIGN.md catalogs are re-read every run so docs
-    // edits invalidate findings without touching the cache.
+    // Project passes run over every file's facts; the DESIGN.md
+    // catalogs are re-read every run.
     std::vector<Finding> combined;
     for (const FileFacts &facts : allFacts) {
         combined.insert(combined.end(), facts.lineFindings.begin(),
@@ -347,9 +270,6 @@ main(int argc, char **argv)
     Report report;
     report.ci = ci;
     report.filesScanned = files.size();
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        (hits[i] ? report.cacheHits : report.cacheMisses) += 1;
-    }
     for (Finding &f : combined) {
         const std::string key = baselineKey(f.rule, f.file, f.snippet);
         const auto it = baseline.entries.find(key);
