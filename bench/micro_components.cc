@@ -2,9 +2,10 @@
  * @file
  * Microbenchmarks (google-benchmark) for the hot simulator
  * components: page-table walks, TLB lookups, LLC accesses, the
- * poison-fault path, Zipf sampling, the Feistel permutation and
- * Start-Gap remapping.  These bound the simulator's own cost and
- * guard against performance regressions in the substrate.
+ * poison-fault path, Zipf sampling, the Feistel permutation, the
+ * scattered Zipf reference draw and Start-Gap remapping.  These
+ * bound the simulator's own cost and guard against performance
+ * regressions in the substrate.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "mem/wear_leveler.hh"
 #include "sim/machine.hh"
 #include "sys/kstaled.hh"
+#include "workload/access_pattern.hh"
 
 namespace thermostat
 {
@@ -126,6 +128,36 @@ BM_FeistelPermutation(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FeistelPermutation);
+
+/**
+ * One scattered Zipf draw at in-memory-analytics' geometry (281,600
+ * 4 KB objects, theta 0.6): memo:0 maps every rank through the
+ * cycle-walking Feistel network, memo:1 is ZipfianPattern::next with
+ * its memoized slot table.
+ */
+void
+BM_ScatteredZipfDraw(benchmark::State &state)
+{
+    constexpr std::uint64_t kObjects = 281'600;
+    constexpr std::uint64_t kSpan = kObjects * 4096;
+    Rng rng(7);
+    if (state.range(0) == 0) {
+        const ZipfSampler zipf(kObjects, 0.6);
+        const FixedPermutation perm(kObjects, 7);
+        const BoundedDraw within(4096 / 64);
+        for (auto _ : state) {
+            benchmark::DoNotOptimize(std::min(
+                perm.map(zipf.sample(rng)) * 4096 + within(rng) * 64,
+                kSpan - 1));
+        }
+    } else {
+        ZipfianPattern pattern(kSpan, 4096, 0.6, true, 7);
+        for (auto _ : state) {
+            benchmark::DoNotOptimize(pattern.next(rng));
+        }
+    }
+}
+BENCHMARK(BM_ScatteredZipfDraw)->ArgName("memo")->Arg(0)->Arg(1);
 
 void
 BM_StartGapRemap(benchmark::State &state)

@@ -44,11 +44,18 @@ struct RefOutcome
     bool flagged = false;
 };
 
-/** One lane's bucket of the chunk in flight. */
+/** One lane's bucket of a chunk. */
 struct LaneBucket
 {
     std::vector<MemRef> refs;         //!< in draw order
     std::vector<RefOutcome> outcomes; //!< one per ref, set by the lane
+};
+
+/** One drawn chunk: its references bucketed by lane. */
+struct Chunk
+{
+    std::array<LaneBucket, kMachineLanes> lanes;
+    std::vector<std::uint8_t> drawLanes; //!< lane of each draw
 };
 
 /** Order-sensitive work on one reference, called in draw order. */
@@ -62,52 +69,86 @@ using DrawReplay =
  * execute(ref) -> RefOutcome (on @p pool when there is one, else
  * inline), then call @p replay, when set, on each reference in draw
  * order.
+ *
+ * Draw-ahead: while the pool runs chunk c's lanes, the calling
+ * thread draws chunk c+1 into the other buffer.  The draw reads only
+ * workload state -- region sizes and pattern cursors, which
+ * Workload::advance() writes between epochs, and slot memos, which
+ * only the drawing thread touches -- and neither the lanes nor the
+ * replay write any of it, so drawing early consumes @p rng exactly
+ * as a reference-at-a-time loop would.  Without a pool the same
+ * sequence runs with the lanes inline.  @p profiler times the draw,
+ * the lanes still running once the draw is done, and the replay as
+ * children of the enclosing stream scope.
  */
 template <typename Execute>
 void
 runStream(Workload &workload, Rng &rng, ThreadPool *pool,
-          std::uint64_t count, const Execute &execute,
-          const DrawReplay &replay)
+          Profiler *profiler, std::uint64_t count,
+          const Execute &execute, const DrawReplay &replay)
 {
-    std::array<LaneBucket, kMachineLanes> lanes;
-    std::vector<std::uint8_t> draw_lanes; //!< lane of each draw
-    const auto run_lane = [&](std::size_t lane) {
-        LaneBucket &bucket = lanes[lane];
+    std::array<Chunk, 2> chunks;
+    const auto draw = [&](Chunk &chunk, std::uint64_t refs) {
+        PhaseScope scope(profiler, "draw");
+        for (LaneBucket &bucket : chunk.lanes) {
+            bucket.refs.clear();
+        }
+        chunk.drawLanes.clear();
+        for (std::uint64_t i = 0; i < refs; ++i) {
+            const MemRef ref = workload.sample(rng);
+            const unsigned lane = laneOf(ref.addr);
+            chunk.lanes[lane].refs.push_back(ref);
+            chunk.drawLanes.push_back(static_cast<std::uint8_t>(lane));
+        }
+    };
+    const auto run_lane = [&execute](LaneBucket &bucket) {
         bucket.outcomes.resize(bucket.refs.size());
         for (std::size_t k = 0; k < bucket.refs.size(); ++k) {
             bucket.outcomes[k] = execute(bucket.refs[k]);
         }
     };
-    for (std::uint64_t first = 0; first < count; first += kChunkRefs) {
-        const std::uint64_t chunk = std::min(kChunkRefs, count - first);
-        // Draw serially, consuming @p rng exactly as a
-        // reference-at-a-time loop would, and bucket by lane.
-        for (LaneBucket &bucket : lanes) {
-            bucket.refs.clear();
-        }
-        draw_lanes.clear();
-        for (std::uint64_t i = 0; i < chunk; ++i) {
-            const MemRef ref = workload.sample(rng);
-            const unsigned lane = laneOf(ref.addr);
-            lanes[lane].refs.push_back(ref);
-            draw_lanes.push_back(static_cast<std::uint8_t>(lane));
-        }
-        if (pool != nullptr) {
-            pool->parallelFor(0, kMachineLanes, 1, run_lane);
-        } else {
-            for (std::size_t lane = 0; lane < kMachineLanes; ++lane) {
-                run_lane(lane);
+    draw(chunks[0], std::min(kChunkRefs, count));
+    for (std::uint64_t first = 0, c = 0; first < count;
+         first += kChunkRefs, ++c) {
+        Chunk &chunk = chunks[c % 2];
+        try {
+            if (pool != nullptr) {
+                for (LaneBucket &bucket : chunk.lanes) {
+                    pool->submit(
+                        [&run_lane, &bucket] { run_lane(bucket); });
+                }
             }
+            const std::uint64_t next = first + kChunkRefs;
+            if (next < count) {
+                draw(chunks[(c + 1) % 2],
+                     std::min(kChunkRefs, count - next));
+            }
+            PhaseScope scope(profiler, "lanes");
+            if (pool != nullptr) {
+                pool->wait();
+            } else {
+                for (LaneBucket &bucket : chunk.lanes) {
+                    run_lane(bucket);
+                }
+            }
+        } catch (...) {
+            // No lane job may outlive the chunk it reads.
+            if (pool != nullptr) {
+                pool->wait();
+            }
+            throw;
         }
         if (!replay) {
             continue;
         }
         // Replay in draw order: one cursor per lane bucket, advanced
         // by following the recorded lane of each draw.
+        PhaseScope scope(profiler, "replay");
         std::array<std::size_t, kMachineLanes> next{};
-        for (const std::uint8_t lane : draw_lanes) {
+        for (const std::uint8_t lane : chunk.drawLanes) {
             const std::size_t k = next[lane]++;
-            replay(lanes[lane].refs[k], lanes[lane].outcomes[k]);
+            replay(chunk.lanes[lane].refs[k],
+                   chunk.lanes[lane].outcomes[k]);
         }
     }
 }
@@ -323,7 +364,7 @@ Simulation::runTimingStream(Count weight, Ns &epoch_actual,
     }
     const MachineStats before = machine_.stats();
     runStream(
-        *workload_, rng_, pool_, config_.samplesPerEpoch,
+        *workload_, rng_, pool_, &profiler_, config_.samplesPerEpoch,
         [&](const MemRef &ref) {
             const AccessOutcome out = machine_.access(
                 ref.addr, ref.type, weight, ref.burstLines);
@@ -378,7 +419,7 @@ Simulation::runProfileStream(std::uint64_t profile_samples,
         };
     }
     runStream(
-        *workload_, profileRng_, pool_, profile_samples,
+        *workload_, profileRng_, pool_, &profiler_, profile_samples,
         [&](const MemRef &ref) {
             const WalkResult wr = table.walk(ref.addr);
             TSTAT_ASSERT(wr.mapped(), "profile ref unmapped");

@@ -7,6 +7,16 @@
 namespace thermostat
 {
 
+MemoizedPermutation::MemoizedPermutation(std::uint64_t size,
+                                         std::uint64_t seed,
+                                         std::uint64_t hot_indices)
+    : perm_(size, seed),
+      slots_(size < (std::uint64_t{1} << 32)
+                 ? std::min({hot_indices, size, kMaxSlots})
+                 : 0)
+{
+}
+
 UniformPattern::UniformPattern(std::uint64_t span_bytes)
     : spanBytes_(span_bytes), draw_(span_bytes)
 {
@@ -27,7 +37,7 @@ ZipfianPattern::ZipfianPattern(std::uint64_t span_bytes,
       zipf_(std::max<std::uint64_t>(1, span_bytes / object_bytes),
             theta),
       scatter_(scatter),
-      perm_(std::max<std::uint64_t>(1, span_bytes / object_bytes), seed)
+      slots_(zipf_.itemCount(), seed, scatter ? zipf_.itemCount() : 0)
 {
     TSTAT_ASSERT(object_bytes > 0 && span_bytes >= object_bytes,
                  "ZipfianPattern: bad geometry");
@@ -39,14 +49,14 @@ ZipfianPattern::ZipfianPattern(std::uint64_t span_bytes,
 std::uint64_t
 ZipfianPattern::slotForRank(std::uint64_t rank) const
 {
-    return scatter_ ? perm_.map(rank) : rank;
+    return scatter_ ? slots_.permutation().map(rank) : rank;
 }
 
 std::uint64_t
 ZipfianPattern::next(Rng &rng)
 {
     const std::uint64_t rank = zipf_.sample(rng);
-    const std::uint64_t slot = slotForRank(rank);
+    const std::uint64_t slot = scatter_ ? slots_.map(rank) : rank;
     const std::uint64_t within =
         objectBytes_ <= 64 ? 0 : withinDraw_(rng) * 64;
     return std::min(slot * objectBytes_ + within, spanBytes_ - 1);
@@ -60,17 +70,17 @@ HotspotPattern::HotspotPattern(std::uint64_t span_bytes,
       objectBytes_(object_bytes),
       objectCount_(std::max<std::uint64_t>(1,
                                            span_bytes / object_bytes)),
+      hotObjects_(std::max<std::uint64_t>(
+          1, static_cast<std::uint64_t>(
+                 static_cast<double>(objectCount_) * hot_fraction))),
       hotTraffic_(hot_traffic),
       scatter_(scatter),
-      perm_(objectCount_, seed)
+      slots_(objectCount_, seed, scatter ? hotObjects_ : 0)
 {
     TSTAT_ASSERT(hot_fraction > 0.0 && hot_fraction <= 1.0,
                  "HotspotPattern: bad hot fraction");
     TSTAT_ASSERT(hot_traffic >= 0.0 && hot_traffic <= 1.0,
                  "HotspotPattern: bad hot traffic");
-    hotObjects_ = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               static_cast<double>(objectCount_) * hot_fraction));
     hotDraw_ = BoundedDraw(hotObjects_);
     anyDraw_ = BoundedDraw(objectCount_);
     if (objectBytes_ > 64) {
@@ -87,7 +97,7 @@ HotspotPattern::next(Rng &rng)
     } else {
         index = anyDraw_(rng);
     }
-    const std::uint64_t slot = scatter_ ? perm_.map(index) : index;
+    const std::uint64_t slot = scatter_ ? slots_.map(index) : index;
     const std::uint64_t within =
         objectBytes_ <= 64 ? 0 : withinDraw_(rng) * 64;
     return std::min(slot * objectBytes_ + within, spanBytes_ - 1);

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/permutation.hh"
 #include "common/rng.hh"
@@ -54,6 +55,56 @@ class AccessPattern
 
     /** Advance pattern-internal time (phase changes). */
     virtual void advance(Ns now) { (void)now; }
+};
+
+/**
+ * A FixedPermutation whose images of the indices a pattern draws
+ * repeatedly -- [0, min(hot indices, kMaxSlots)) -- are cached in a
+ * 32-bit table filled on first use.  map() equals the raw
+ * permutation for every index: indices past the table, and domains
+ * of 2^32 or more, evaluate the Feistel network each time.  The
+ * table is allocated on the first map(), so building a workload
+ * stays cheap.  It is mutable state of the drawing thread: only the
+ * thread that draws references may call map().
+ */
+class MemoizedPermutation
+{
+  public:
+    /** Most indices cached: a 1 MB table. */
+    static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << 18;
+
+    MemoizedPermutation(std::uint64_t size, std::uint64_t seed,
+                        std::uint64_t hot_indices);
+
+    std::uint64_t
+    map(std::uint64_t index)
+    {
+        if (index >= slots_) {
+            return perm_.map(index);
+        }
+        if (memo_.empty()) {
+            memo_.assign(slots_, kUnset);
+        }
+        std::uint32_t &image = memo_[index];
+        if (image == kUnset) {
+            image = static_cast<std::uint32_t>(perm_.map(index));
+        }
+        return image;
+    }
+
+    /** The uncached permutation. */
+    const FixedPermutation &permutation() const { return perm_; }
+
+    /** Indices the table covers. */
+    std::uint64_t cachedSlots() const { return slots_; }
+
+  private:
+    /** Never an image: cached domains are below 2^32. */
+    static constexpr std::uint32_t kUnset = ~std::uint32_t{0};
+
+    FixedPermutation perm_;
+    std::uint64_t slots_;
+    std::vector<std::uint32_t> memo_;
 };
 
 /** Uniform offsets over the whole span. */
@@ -99,7 +150,7 @@ class ZipfianPattern : public AccessPattern
     std::uint64_t objectBytes_;
     ZipfSampler zipf_;
     bool scatter_;
-    FixedPermutation perm_;
+    MemoizedPermutation slots_; //!< caches the top-ranked slots
     BoundedDraw withinDraw_; //!< line draw inside one object
 };
 
@@ -129,7 +180,7 @@ class HotspotPattern : public AccessPattern
     std::uint64_t hotObjects_;
     double hotTraffic_;
     bool scatter_;
-    FixedPermutation perm_;
+    MemoizedPermutation slots_; //!< caches the hot subset's slots
     BoundedDraw hotDraw_;    //!< draw over the hot subset
     BoundedDraw anyDraw_;    //!< draw over all objects
     BoundedDraw withinDraw_; //!< line draw inside one object

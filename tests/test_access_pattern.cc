@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
+#include <vector>
 
 #include "workload/access_pattern.hh"
 
@@ -119,6 +122,98 @@ TEST(HotspotPattern, ZeroHotTrafficIsUniform)
         head += pattern.next(rng) < 1_MiB ? 1 : 0;
     }
     EXPECT_NEAR(head, 2500, 400);
+}
+
+/**
+ * Cycle-walk-heavy domains: analytics' 281,600 objects (past the
+ * memo's cap) and 67,584 (inside it) sit just above a power of four,
+ * so most Feistel images fall outside the domain.
+ */
+const std::uint64_t kMemoDomains[] = {281600, 67584};
+
+TEST(MemoizedPermutation, MatchesRawMapInAnyFillOrder)
+{
+    for (const std::uint64_t n : kMemoDomains) {
+        const FixedPermutation raw(n, 21);
+        std::vector<std::uint64_t> ascending(n);
+        std::iota(ascending.begin(), ascending.end(), 0);
+        std::vector<std::uint64_t> descending(ascending.rbegin(),
+                                              ascending.rend());
+        std::vector<std::uint64_t> shuffled = ascending;
+        Rng rng(n);
+        for (std::uint64_t i = n - 1; i > 0; --i) {
+            std::swap(shuffled[i], shuffled[rng.next() % (i + 1)]);
+        }
+        for (const auto *order : {&ascending, &descending, &shuffled}) {
+            MemoizedPermutation memo(n, 21, n);
+            EXPECT_EQ(memo.cachedSlots(),
+                      std::min(n, MemoizedPermutation::kMaxSlots));
+            // Twice: the first pass fills the table, the second
+            // reads it back.
+            for (int pass = 0; pass < 2; ++pass) {
+                for (const std::uint64_t i : *order) {
+                    ASSERT_EQ(memo.map(i), raw.map(i))
+                        << "n=" << n << " index=" << i;
+                }
+            }
+        }
+    }
+}
+
+TEST(MemoizedPermutation, CapsAndSkipsWideDomains)
+{
+    MemoizedPermutation hot(281600, 22, 1000);
+    EXPECT_EQ(hot.cachedSlots(), 1000u);
+    MemoizedPermutation none(281600, 22, 0);
+    EXPECT_EQ(none.cachedSlots(), 0u);
+    // Images of a 2^32 domain do not fit the 32-bit table.
+    const std::uint64_t wide = std::uint64_t{1} << 32;
+    MemoizedPermutation uncached(wide, 23, wide);
+    EXPECT_EQ(uncached.cachedSlots(), 0u);
+    const FixedPermutation raw(wide, 23);
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        EXPECT_EQ(uncached.map(i), raw.map(i));
+    }
+}
+
+TEST(ZipfianPattern, MemoizedStreamMatchesRawPermutation)
+{
+    // Analytics' geometry: 281,600 scattered 4 KB objects, theta 0.6.
+    const std::uint64_t objects = 281600;
+    const std::uint64_t span = objects * 4096;
+    ZipfianPattern pattern(span, 4096, 0.6, true, 24);
+    const ZipfSampler zipf(objects, 0.6);
+    const FixedPermutation perm(objects, 24);
+    const BoundedDraw within(4096 / 64);
+    Rng rng(24);
+    Rng ref(24);
+    for (int i = 0; i < 1000000; ++i) {
+        const std::uint64_t slot = perm.map(zipf.sample(ref));
+        const std::uint64_t expect =
+            std::min(slot * 4096 + within(ref) * 64, span - 1);
+        ASSERT_EQ(pattern.next(rng), expect) << "draw " << i;
+    }
+}
+
+TEST(HotspotPattern, MemoizedStreamMatchesRawPermutation)
+{
+    // 67,584 scattered 1 KB objects, a 10% hot subset.
+    const std::uint64_t objects = 67584;
+    const std::uint64_t span = objects * 1024;
+    HotspotPattern pattern(span, 1024, 0.1, 0.9, true, 25);
+    const FixedPermutation perm(objects, 25);
+    const BoundedDraw hot(pattern.hotObjectCount());
+    const BoundedDraw any(objects);
+    const BoundedDraw within(1024 / 64);
+    Rng rng(25);
+    Rng ref(25);
+    for (int i = 0; i < 1000000; ++i) {
+        const std::uint64_t index =
+            ref.nextBool(0.9) ? hot(ref) : any(ref);
+        const std::uint64_t expect = std::min(
+            perm.map(index) * 1024 + within(ref) * 64, span - 1);
+        ASSERT_EQ(pattern.next(rng), expect) << "draw " << i;
+    }
 }
 
 TEST(SequentialScanPattern, StridesAndWraps)

@@ -5,7 +5,8 @@
  * the flight CSV, metrics JSON, sampler digest and lifecycle-event
  * digest of each run mode whose per-reference work is
  * order-sensitive (nomad, remap, hotness, static, PEBS counting,
- * sampler feedback).
+ * sampler feedback), plus a nomad run whose streams span several
+ * pipeline chunks.
  *
  * These runs never enable fault injection, so any diff against the
  * checked-in goldens means the simulator's fault-free behaviour
@@ -273,6 +274,22 @@ TEST(GoldenRuns, NomadWriteHeavyFeedback)
     EXPECT_GT(r.transactions.dirtyAborts, 0u);
     EXPECT_GT(r.transactions.replicasDropped, 0u);
     EXPECT_EQ(r.transactions.ledgerViolations, 0u);
+}
+
+TEST(GoldenRuns, NomadWriteHeavyAcrossChunks)
+{
+    // Both streams span several 65536-reference chunks, so each
+    // later chunk is drawn while the previous chunk's lanes run and
+    // the nomad replay crosses chunk boundaries.
+    SimConfig config = accessOrderConfig("nomad");
+    config.policyParams.promoteRateThreshold =
+        PolicyParams{}.promoteRateThreshold;
+    config.samplesPerEpoch = 2 * 65536 + 1;
+    config.profileWeight = 1;
+    const SimResult r = checkAccessOrderGoldens(
+        "nomad_multichunk", config, writeHeavyWorkload);
+    EXPECT_GT(r.transactions.dirtyAborts, 0u);
+    EXPECT_GT(r.transactions.replicasDropped, 0u);
 }
 
 TEST(GoldenRuns, RemapFeedback)

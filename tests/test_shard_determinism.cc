@@ -9,7 +9,8 @@
  * suite proves it empirically: for a matrix of seeds x workload
  * configurations (including a fault-plan run, and the PEBS,
  * sampler-feedback and nomad modes whose order-sensitive work is
- * replayed in draw order), the full flight-recorder CSV, the metrics
+ * replayed in draw order, and cells whose streams span several
+ * draw-ahead chunks), the full flight-recorder CSV, the metrics
  * dump and the headline SimResult fields at --shards {2,4,8} must
  * equal the --shards 1 reference exactly.
  *
@@ -21,10 +22,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "harness.hh"
+#include "sim/app_tuning.hh"
+#include "workload/cloud_apps.hh"
 
 namespace thermostat
 {
@@ -39,6 +43,7 @@ struct Cell
 {
     const char *name;
     SimConfig config;
+    const char *app = nullptr; //!< makeWorkload name; null: half-cold
 };
 
 /** Everything we compare between two runs of the same cell. */
@@ -117,12 +122,47 @@ replayCells(std::uint64_t seed)
     return cells;
 }
 
+/**
+ * Cells whose streams each span three or more 65536-reference
+ * chunks, so the draw of chunk c+1 overlaps the lanes of chunk c:
+ * in-memory-analytics (region growth, a scattered Zipf pattern, a
+ * scan) and nomad over write-heavy cassandra, deciding every epoch
+ * so that demotion transactions are open while its replay feeds
+ * writes to the transaction engine.
+ */
+std::vector<Cell>
+multiChunkCells(std::uint64_t seed)
+{
+    const auto tuned = [seed](const char *app) {
+        SimConfig config;
+        config.seed = seed;
+        config.machine = tunedMachineConfig(app);
+        config.samplesPerEpoch = 2 * 65536 + 1;
+        config.duration = 3 * kNsPerSec;
+        return config;
+    };
+    std::vector<Cell> cells;
+    cells.push_back({"analytics-multichunk",
+                     tuned("in-memory-analytics"),
+                     "in-memory-analytics"});
+    Cell nomad{"cassandra-nomad-multichunk", tuned("cassandra"),
+               "cassandra"};
+    nomad.config.policy = "nomad";
+    nomad.config.policyParams.coldFraction = 0.4;
+    nomad.config.policyParams.decisionPeriod = kNsPerSec;
+    cells.push_back(std::move(nomad));
+    return cells;
+}
+
 RunFingerprint
 runCell(const Cell &cell, unsigned shards)
 {
     SimConfig config = cell.config;
     config.shards = shards;
-    Simulation sim(halfColdWorkload(), config);
+    Simulation sim(cell.app != nullptr
+                       ? makeWorkload(cell.app, config.seed)
+                       : halfColdWorkload(),
+                   config);
     const SimResult result = sim.run();
 
     RunFingerprint fp;
@@ -196,6 +236,56 @@ TEST(ShardDeterminism, ReplayModesMatchSerialReference)
     // Fewer seeds: these cells exist to put the draw-order replay
     // under TSan next to the lane workers, not to sample workloads.
     expectMatrixMatchesSerial(3, replayCells);
+}
+
+TEST(ShardDeterminism, MultiChunkStreamsMatchSerialReference)
+{
+    // The draw-ahead path: each epoch's streams cross chunk
+    // boundaries, so chunk c+1 is drawn while chunk c's lanes run.
+    expectMatrixMatchesSerial(1, multiChunkCells);
+}
+
+/** Uniform offsets over 32MB until its budget runs out, then throws. */
+class FailingPattern : public AccessPattern
+{
+  public:
+    explicit FailingPattern(std::uint64_t budget) : budget_(budget) {}
+
+    std::uint64_t
+    next(Rng &rng) override
+    {
+        if (budget_ == 0) {
+            throw std::runtime_error("draw failed");
+        }
+        --budget_;
+        return rng.nextBounded(spanBytes());
+    }
+
+    std::uint64_t spanBytes() const override { return 32_MiB; }
+
+  private:
+    std::uint64_t budget_;
+};
+
+TEST(ShardDeterminism, DrawErrorJoinsLanesBeforePropagating)
+{
+    // The draw of chunk 1 throws while chunk 0's lanes are in
+    // flight: the error must reach the caller only after the lanes
+    // have joined, since they read the chunk the unwinding frees.
+    for (const unsigned shards : {1u, 4u}) {
+        auto workload = std::make_unique<ComposedWorkload>(
+            "failing", 200.0e3, 0.8, 300 * kNsPerSec);
+        workload->addRegion({"data", 64_MiB, 0, true, false});
+        TrafficComponent traffic;
+        traffic.region = "data";
+        traffic.pattern = std::make_unique<FailingPattern>(65536 + 100);
+        workload->addComponent(std::move(traffic));
+        SimConfig config = tinySimConfig(5);
+        config.samplesPerEpoch = 2 * 65536;
+        config.shards = shards;
+        Simulation sim(std::move(workload), config);
+        EXPECT_THROW(sim.run(), std::runtime_error) << shards;
+    }
 }
 
 TEST(ShardDeterminism, AutoShardsNeverExceedLanes)
