@@ -70,8 +70,14 @@ class AccessPattern
 class MemoizedPermutation
 {
   public:
-    /** Most indices cached: a 1 MB table. */
-    static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << 18;
+    /**
+     * Most indices cached: a 512 KB table, half of a 1 MB per-core
+     * L2.  A table the size of L2 spills to the shared L3, and its
+     * lookups then cost whatever the other tenants of that cache
+     * leave them: a 1 MB table drew faster in the median but varied
+     * far more from run to run.
+     */
+    static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << 17;
 
     MemoizedPermutation(std::uint64_t size, std::uint64_t seed,
                         std::uint64_t hot_indices);
