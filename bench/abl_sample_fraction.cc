@@ -36,7 +36,7 @@ main(int argc, char **argv)
                       formatPct(r.finalColdFraction),
                       formatPct(r.slowdown, 2),
                       formatPct(r.monitorOverheadFraction, 2),
-                      std::to_string(r.engine.periods)});
+                      std::to_string(r.policy.decisionPeriods)});
     }
     table.print();
     std::printf("\nExpected: larger fractions converge on the cold "

@@ -63,7 +63,8 @@ main(int argc, char **argv)
                 formatRateMBps(result.promotionBytesPerSec).c_str());
     std::printf("engine: %llu periods, %llu cold 2MB pages, "
                 "%llu cold 4KB pages, %llu promotions\n",
-                static_cast<unsigned long long>(result.engine.periods),
+                static_cast<unsigned long long>(
+                    result.policy.decisionPeriods),
                 static_cast<unsigned long long>(
                     result.engine.coldHugePlaced),
                 static_cast<unsigned long long>(
@@ -75,7 +76,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     result.engine.collapseFailures),
                 static_cast<unsigned long long>(
-                    result.engine.migrationFailures));
+                    result.policy.placementFailures));
 
     std::printf("timing: %.2fs actual vs %.2fs baseline; "
                 "%.1fM weighted faults (%.1f%% of time)\n\n",
@@ -88,7 +89,7 @@ main(int argc, char **argv)
     std::printf("cold footprint over time:\n");
     printSeries(result.cold2M, "bytes (2MB pages)", 12);
     std::printf("\nslow-memory access rate (target %.0f acc/s):\n",
-                sim.engine().targetRate());
+                sim.cgroup().params().targetSlowAccessRate());
     printSeries(result.engineSlowRate, "acc/s", 12);
     return 0;
 }

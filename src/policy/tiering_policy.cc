@@ -297,27 +297,7 @@ TieringPolicy::placePage(Addr base, bool huge, Ns now)
     if (tracer_) {
         tracer_->record(EventKind::PolicyDemote, now, base, huge);
     }
-    const MigrateResult res =
-        ctxMigrator_.migrate(base, Tier::Slow, now);
-    pendingOverhead_ += res.cost;
-    stats_.overheadTime += res.cost;
-    if (!res.moved) {
-        ++stats_.placementFailures;
-        return false;
-    }
-    // Poison after the move: the fault latency is the slow-access
-    // emulation, and its counter feeds fault-driven promotion.
-    const Ns poison_cost = ctxTrap_.poison(base);
-    pendingOverhead_ += poison_cost;
-    stats_.overheadTime += poison_cost;
-    if (huge) {
-        placedHuge_.insert(base);
-        placedBytes_ += kPageSize2M;
-    } else {
-        placedBase_.insert(base);
-        placedBytes_ += kPageSize4K;
-    }
-    return true;
+    return movePage(base, huge, Tier::Slow, now, true);
 }
 
 bool
@@ -327,23 +307,35 @@ TieringPolicy::promotePage(Addr base, bool huge, Ns now)
     if (tracer_) {
         tracer_->record(EventKind::PolicyPromote, now, base, huge);
     }
-    const MigrateResult res =
-        ctxMigrator_.migrate(base, Tier::Fast, now);
-    pendingOverhead_ += res.cost;
-    stats_.overheadTime += res.cost;
+    return movePage(base, huge, Tier::Fast, now, true);
+}
+
+bool
+TieringPolicy::movePage(Addr base, bool huge, Tier to, Ns now,
+                        bool chargeTrap)
+{
+    const MigrateResult res = ctxMigrator_.migrate(base, to, now);
+    chargeOverhead(res.cost);
     if (!res.moved) {
         ++stats_.placementFailures;
         return false;
     }
-    const Ns unpoison_cost = ctxTrap_.unpoison(base);
-    pendingOverhead_ += unpoison_cost;
-    stats_.overheadTime += unpoison_cost;
-    if (huge) {
-        placedHuge_.erase(base);
-        placedBytes_ -= kPageSize2M;
+    // Poison after the move: the fault latency is the slow-access
+    // emulation, and its counter feeds fault-driven promotion.
+    const Ns trap_cost = to == Tier::Slow ? ctxTrap_.poison(base)
+                                          : ctxTrap_.unpoison(base);
+    if (chargeTrap) {
+        chargeOverhead(trap_cost);
+    }
+    std::unordered_set<Addr> &placed = huge ? placedHuge_ : placedBase_;
+    const std::uint64_t bytes =
+        huge ? kPageSize2M : static_cast<std::uint64_t>(kPageSize4K);
+    if (to == Tier::Slow) {
+        placed.insert(base);
+        placedBytes_ += bytes;
     } else {
-        placedBase_.erase(base);
-        placedBytes_ -= kPageSize4K;
+        placed.erase(base);
+        placedBytes_ -= bytes;
     }
     return true;
 }

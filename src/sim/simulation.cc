@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "obs/json.hh"
 #include "policy/policy_factory.hh"
-#include "policy/thermostat_policy.hh"
 
 namespace thermostat
 {
@@ -210,14 +209,12 @@ Simulation::Simulation(std::unique_ptr<Workload> workload,
         PolicyContext{cgroup_, machine_.space(), machine_.trap(),
                       kstaled_, migrator_, config.policyParams,
                       workload_.get(), config.seed, &queue_,
-                      &transactions_});
+                      &transactions_,
+                      static_cast<double>(config.profileWeight)});
     if (policy_ == nullptr) {
         TSTAT_FATAL("unknown tiering policy '%s'",
                     config.policy.c_str());
     }
-    thermostat_ = dynamic_cast<ThermostatPolicy *>(policy_.get());
-    policy_->setMarkingQuantum(
-        static_cast<double>(config.profileWeight));
     workload_->setup(machine_.space());
 
     // Observability: the auditor sees the full event stream (the
@@ -268,12 +265,13 @@ Simulation::Simulation(std::unique_ptr<Workload> workload,
     }
 }
 
-ThermostatEngine &
+ThermostatPolicy &
 Simulation::engine()
 {
-    TSTAT_ASSERT(thermostat_ != nullptr,
+    auto *engine = dynamic_cast<ThermostatPolicy *>(policy_.get());
+    TSTAT_ASSERT(engine != nullptr,
                  "engine() requires the thermostat policy");
-    return thermostat_->engine();
+    return *engine;
 }
 
 // shard: merge-barrier -- runs between epochs, after the lane
@@ -684,8 +682,9 @@ Simulation::finishRun()
     result.transactions = transactions_.stats();
     result.policyName = policy_->name();
     result.policy = policy_->stats();
-    if (thermostat_ != nullptr) {
-        result.engine = thermostat_->engine().stats();
+    if (const auto *engine =
+            dynamic_cast<const ThermostatPolicy *>(policy_.get())) {
+        result.engine = engine->engineStats();
     }
     result.trap = machine_.trap().stats();
     result.machineStats = machine_.stats();

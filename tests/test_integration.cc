@@ -93,7 +93,7 @@ TEST(Integration, ColdPagesStayPoisonedForMonitoring)
 {
     Simulation sim(threeZoneWorkload(), integrationConfig());
     (void)sim.run();
-    for (const Addr page : sim.engine().coldHugePages()) {
+    for (const Addr page : sim.engine().placedHugePages()) {
         EXPECT_TRUE(sim.machine().trap().isPoisoned(page));
         EXPECT_EQ(sim.machine().space().tierOf(page), Tier::Slow);
     }

@@ -108,12 +108,12 @@ TEST(SpreadPages, SpreadColdSubpagesAreMonitored)
     (void)sim.run();
     // All spread-demoted subpages sit in the engine's cold base set
     // and are poisoned for correction monitoring.
-    for (const Addr page : sim.engine().coldBasePages()) {
+    for (const Addr page : sim.engine().placedBasePages()) {
         EXPECT_EQ(sim.machine().space().tierOf(page), Tier::Slow);
         EXPECT_TRUE(sim.machine().trap().isPoisoned(page));
     }
-    EXPECT_GE(sim.engine().coldBasePages().size(),
-              sim.engine().stats().spreadSubpagesDemoted / 2);
+    EXPECT_GE(sim.engine().placedBasePages().size(),
+              sim.engine().engineStats().spreadSubpagesDemoted / 2);
 }
 
 TEST(SpreadPages, ThresholdGatesSpreading)
