@@ -140,6 +140,46 @@ TEST(PolicyBehaviour, ComparisonEnginesRespectTheColdBudget)
     }
 }
 
+TEST(PolicyBehaviour, ChargedOverheadEqualsReportedOverhead)
+{
+    // Each epoch's flight row carries what the driver charged the
+    // application (takeOverhead()); the policy's overhead_ns metric
+    // is what it reports.  Every cost must land in both exactly
+    // once.  nomad and remap are left out: their rows also carry
+    // the migration queue's cost, which the queue accounts.
+    for (const char *name :
+         {"thermostat", "static", "lru-age", "hotness", "oracle"}) {
+        SCOPED_TRACE(name);
+        SimConfig config = tinySimConfig(5);
+        config.duration = 90 * kNsPerSec;
+        config.warmup = 0;
+        config.policy = name;
+        config.policyParams.coldFraction = 0.4;
+        Simulation sim(halfColdWorkload(), config);
+        const SimResult r = sim.run();
+        ASSERT_GT(r.policy.demotionsOrdered, 0u);
+
+        const EpochFlightRecorder &flight = sim.flightRecorder();
+        ASSERT_EQ(flight.droppedRows(), 0u);
+        const int column = flight.columnIndex("overhead_ns");
+        ASSERT_GE(column, 0);
+        double charged = 0.0;
+        for (const EpochRow &row : flight.rows()) {
+            charged += row.values[static_cast<std::size_t>(column)];
+        }
+        const std::string metric =
+            TieringPolicy::metricPrefix(name) + ".overhead_ns";
+        double reported = -1.0;
+        for (const MetricSample &sample : sim.metrics().snapshot()) {
+            if (sample.name == metric) {
+                reported = sample.value;
+            }
+        }
+        EXPECT_GT(reported, 0.0);
+        EXPECT_EQ(charged, reported);
+    }
+}
+
 TEST(PolicyBehaviour, BaselineRunPlacesNothing)
 {
     for (const std::string &name : PolicyFactory::names()) {
