@@ -14,19 +14,6 @@ IdlePagePolicy::IdlePagePolicy(AddressSpace &space, Kstaled &kstaled,
 {
 }
 
-std::uint64_t
-IdlePagePolicy::placedBytes() const
-{
-    std::uint64_t bytes = 0;
-    for (const Addr page : placed_) {
-        // Placed pages are 2MB leaves (the policy scans huge pages;
-        // 4KB mappings are left alone like kstaled does).
-        (void)page;
-        bytes += kPageSize2M;
-    }
-    return bytes;
-}
-
 double
 IdlePagePolicy::idleFraction()
 {
@@ -49,20 +36,12 @@ IdlePagePolicy::scanAndPlace(Ns now)
     ++stats_.scans;
 
     std::vector<Addr> to_place;
-    std::vector<Addr> to_promote;
     space_.pageTable().forEachLeaf(
         [&](Addr base, Pte &, bool huge) {
-            if (!huge) {
-                return;
-            }
-            const PageIdleState state = kstaled_.idleState(base);
-            const bool is_placed =
-                placed_.find(base) != placed_.end();
-            if (!is_placed && state.idleScans >= config_.idleScans) {
+            if (huge && placed_.find(base) == placed_.end() &&
+                kstaled_.idleState(base).idleScans >=
+                    config_.idleScans) {
                 to_place.push_back(base);
-            } else if (is_placed && config_.promoteOnAccess &&
-                       state.idleScans == 0) {
-                to_promote.push_back(base);
             }
         });
 
@@ -70,21 +49,9 @@ IdlePagePolicy::scanAndPlace(Ns now)
         if (!migrator_.migrate(base, Tier::Slow, now).moved) {
             continue;
         }
-        if (config_.poisonPlacedPages) {
-            trap_.poison(base);
-        }
+        trap_.poison(base);
         placed_.insert(base);
         ++stats_.placed;
-    }
-    for (const Addr base : to_promote) {
-        if (!migrator_.migrate(base, Tier::Fast, now).moved) {
-            continue;
-        }
-        if (config_.poisonPlacedPages) {
-            trap_.unpoison(base);
-        }
-        placed_.erase(base);
-        ++stats_.promoted;
     }
 }
 

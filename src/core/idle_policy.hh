@@ -7,8 +7,10 @@
  * for an idle threshold (10s in Figure 1); this policy simply moves
  * every such page to slow memory.  It has no notion of access
  * *rate*, so it cannot bound the resulting slowdown -- the paper
- * measures >10% degradation for Redis -- and (optionally) never
- * promotes pages back.
+ * measures >10% degradation for Redis -- and never promotes pages
+ * back.  Placed pages are poisoned, so accesses to them cost the
+ * emulated slow-memory latency (how Figure 1's degradation was
+ * measured).
  */
 
 #ifndef THERMOSTAT_CORE_IDLE_POLICY_HH
@@ -34,18 +36,6 @@ struct IdlePolicyConfig
 
     /** Consecutive idle scans before a page counts as cold. */
     unsigned idleScans = 5; // 5 x 2s = the paper's 10 seconds
-
-    /**
-     * Poison placed pages so accesses to them cost the emulated
-     * slow-memory latency (how Figure 1's degradation was measured).
-     */
-    bool poisonPlacedPages = true;
-
-    /**
-     * Promote a placed page the next time a scan sees its Accessed
-     * bit (a mild improvement the paper's naive baseline lacks).
-     */
-    bool promoteOnAccess = false;
 };
 
 /** Counters. */
@@ -53,12 +43,11 @@ struct IdlePolicyStats
 {
     Count scans = 0;
     Count placed = 0;
-    Count promoted = 0;
 };
 
 /**
- * Periodic driver: scan, demote idle pages, optionally promote
- * re-accessed ones.  Call tick() at least once per scan period.
+ * Periodic driver: scan, demote idle pages.  Call tick() at least
+ * once per scan period.
  */
 class IdlePagePolicy
 {
@@ -75,7 +64,14 @@ class IdlePagePolicy
         return placed_;
     }
 
-    std::uint64_t placedBytes() const;
+    /**
+     * Placed pages are 2MB leaves (the policy scans huge pages; 4KB
+     * mappings are left alone like kstaled does).
+     */
+    std::uint64_t placedBytes() const
+    {
+        return placed_.size() * kPageSize2M;
+    }
 
     /** Fraction of 2MB pages currently idle >= the threshold. */
     double idleFraction();

@@ -23,9 +23,6 @@ namespace thermostat
 /** Tunable Thermostat parameters, shared by a control group. */
 struct ThermostatParams
 {
-    /** Master enable. */
-    bool enabled = true;
-
     /**
      * Maximum tolerable slowdown in percent; the single input
      * parameter a system administrator specifies (Sec 5).
@@ -105,21 +102,12 @@ class MemCgroup
     const std::string &name() const { return name_; }
     const ThermostatParams &params() const { return params_; }
 
-    /** cgroup-file style setters. */
-    void setEnabled(bool enabled) { params_.enabled = enabled; }
+    /** cgroup-file style setter (the paper's runtime knob, Sec 5). */
     void
     setTolerableSlowdownPct(double pct)
     {
         params_.tolerableSlowdownPct = pct;
     }
-    void setSamplingPeriod(Ns period) { params_.samplingPeriod = period; }
-    void
-    setSampleFraction(double fraction)
-    {
-        params_.sampleFraction = fraction;
-    }
-    void setPoisonBudget(unsigned k) { params_.poisonBudget = k; }
-    void setSlowMemLatency(Ns ts) { params_.slowMemLatency = ts; }
 
   private:
     std::string name_;

@@ -92,7 +92,7 @@ TEST_F(IdlePolicyTest, HotPagesAreNeverPlaced)
     }
 }
 
-TEST_F(IdlePolicyTest, NoPromotionByDefault)
+TEST_F(IdlePolicyTest, NeverPromotes)
 {
     run(6, 2);
     ASSERT_EQ(policy_.placedPages().size(), 6u);
@@ -106,29 +106,6 @@ TEST_F(IdlePolicyTest, NoPromotionByDefault)
         now_ += kNsPerSec;
     }
     EXPECT_EQ(space_.tierOf(heap_ + 2 * kPageSize2M), Tier::Slow);
-    EXPECT_EQ(policy_.stats().promoted, 0u);
-}
-
-TEST_F(IdlePolicyTest, PromoteOnAccessVariant)
-{
-    IdlePolicyConfig c = config();
-    c.promoteOnAccess = true;
-    IdlePagePolicy promoting(space_, kstaled_, migrator_, trap_, c);
-    Ns now = 0;
-    auto run_with = [&](unsigned seconds, unsigned hot_pages) {
-        for (unsigned s = 0; s < seconds; ++s) {
-            for (unsigned i = 0; i < hot_pages; ++i) {
-                touch(heap_ + i * kPageSize2M);
-            }
-            promoting.tick(now);
-            now += kNsPerSec;
-        }
-    };
-    run_with(6, 2);
-    ASSERT_GT(promoting.placedPages().size(), 0u);
-    run_with(5, 4); // pages 2 and 3 become hot
-    EXPECT_EQ(space_.tierOf(heap_ + 2 * kPageSize2M), Tier::Fast);
-    EXPECT_GT(promoting.stats().promoted, 0u);
 }
 
 TEST_F(IdlePolicyTest, IdleFractionTracksScans)
