@@ -34,8 +34,7 @@ LruAgePolicy::runPeriod(Ns now)
 {
     ++stats_.decisionPeriods;
     const ScanStats scan = kstaled().scanAll();
-    pendingOverhead_ += scan.cost;
-    stats_.overheadTime += scan.cost;
+    chargeOverhead(scan.cost);
 
     const double period_sec =
         static_cast<double>(now - lastDecision_) /

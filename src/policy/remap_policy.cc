@@ -146,10 +146,7 @@ RemapPolicy::runPeriod(Ns now)
             break;
         }
         if (space().splitHuge(base)) {
-            const Ns split_cost =
-                migrator().config().perPageSwCost;
-            pendingOverhead_ += split_cost;
-            stats_.overheadTime += split_cost;
+            chargeOverhead(migrator().config().perPageSwCost);
             ++splits_;
             ++split_count;
         }
