@@ -482,7 +482,7 @@ layeringDag()
              {"common", "obs", "fault", "mem", "vm", "tlb",
               "cache"}},
             {"workload", {"common", "vm"}},
-            {"core", {"common", "obs", "sys", "vm"}},
+            {"core", {"common", "sys", "vm"}},
             {"migrate",
              {"common", "obs", "fault", "mem", "sys", "vm"}},
             {"policy",
