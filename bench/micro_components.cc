@@ -3,12 +3,15 @@
  * Microbenchmarks (google-benchmark) for the hot simulator
  * components: page-table walks, TLB lookups, LLC accesses, the
  * poison-fault path, Zipf sampling, the Feistel permutation, the
- * scattered Zipf reference draw and Start-Gap remapping.  These
- * bound the simulator's own cost and guard against performance
- * regressions in the substrate.
+ * scattered Zipf reference draw, whole-workload draws (RNG pass and
+ * full sample) and Start-Gap remapping.  These bound the simulator's
+ * own cost and guard against performance regressions in the
+ * substrate.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "cache/llc.hh"
 #include "common/permutation.hh"
@@ -17,6 +20,7 @@
 #include "sim/machine.hh"
 #include "sys/kstaled.hh"
 #include "workload/access_pattern.hh"
+#include "workload/cloud_apps.hh"
 
 namespace thermostat
 {
@@ -158,6 +162,47 @@ BM_ScatteredZipfDraw(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ScatteredZipfDraw)->ArgName("memo")->Arg(0)->Arg(1);
+
+/**
+ * One reference of a whole application workload at seed 1, in ns per
+ * reference (the `ref` counter): rng_only:1 is the serial RNG pass
+ * alone (Workload::draw over 1024-reference blocks), rng_only:0 the
+ * full Workload::sample (draw, then resolve, one reference at a
+ * time).  A sharded run resolves on the pool, so the RNG pass is the
+ * serial floor that remains.
+ */
+void
+BM_WorkloadDraw(benchmark::State &state)
+{
+    static const char *const kApps[] = {"in-memory-analytics",
+                                        "cassandra", "redis"};
+    constexpr std::size_t kBlock = 1024;
+    const char *app = kApps[state.range(0)];
+    TieredMemory memory(TierConfig::dram(24ULL << 30),
+                        TierConfig::slow(4ULL << 30));
+    AddressSpace space(memory);
+    std::unique_ptr<ComposedWorkload> workload = makeWorkload(app, 1);
+    workload->setup(space);
+    Rng rng(1);
+    std::vector<RefDraw> tokens(kBlock);
+    for (auto _ : state) {
+        if (state.range(1) == 1) {
+            workload->draw(rng, tokens);
+            benchmark::DoNotOptimize(tokens.data());
+        } else {
+            for (std::size_t i = 0; i < kBlock; ++i) {
+                benchmark::DoNotOptimize(workload->sample(rng).addr);
+            }
+        }
+    }
+    state.counters["ref"] = benchmark::Counter(
+        kBlock, benchmark::Counter::kIsIterationInvariantRate |
+                    benchmark::Counter::kInvert);
+    state.SetLabel(app);
+}
+BENCHMARK(BM_WorkloadDraw)
+    ->ArgNames({"app", "rng_only"})
+    ->ArgsProduct({{0, 1, 2}, {1, 0}});
 
 void
 BM_StartGapRemap(benchmark::State &state)

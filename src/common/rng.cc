@@ -73,9 +73,8 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
 }
 
 std::uint64_t
-ZipfSampler::sample(Rng &rng) const
+ZipfSampler::rankAt(double u) const
 {
-    const double u = rng.nextDouble();
     const double uz = u * zetaN_;
     if (uz < 1.0) {
         return 0;

@@ -2,12 +2,14 @@
  * @file
  * Fixed-size worker pool for running independent jobs concurrently.
  *
- * The simulator itself is single-threaded by design (DESIGN.md,
- * "Threading model"): one Simulation owns one Machine and mutates it
- * freely with no locks.  Parallelism lives one level up, where a
- * sweep runs many *independent* Simulation instances at once.  This
- * pool is the only concurrency primitive in the tree: a bounded set
- * of workers draining a FIFO of type-erased jobs.
+ * This pool is the only concurrency primitive in the tree: a bounded
+ * set of workers draining a FIFO of type-erased jobs.  It serves two
+ * levels (DESIGN.md, "Threading model").  Within a run, a
+ * Simulation's epoch pipeline resolves each chunk's reference draws
+ * in blocks and runs the chunk's address-hashed machine lanes as
+ * jobs; the lanes share no mutable state, so the per-access path
+ * takes no locks.  Across runs, a sweep schedules many independent
+ * Simulation instances at once.
  *
  * Worker count resolution (ThreadPool::defaultJobs) honors the
  * THERMOSTAT_JOBS environment variable so CI and scripts can pin

@@ -32,6 +32,11 @@ namespace
  *  lane fan-out. */
 constexpr std::uint64_t kChunkRefs = 65536;
 
+/** References per resolve block: 16 KB of RefDraw tokens, which the
+ *  one-shard path resolves while they are still in L1, and 64 pool
+ *  jobs per chunk. */
+constexpr std::uint64_t kResolveBlock = 1024;
+
 /**
  * What a lane reports about one reference for the draw-order replay:
  * its leaf size, and whether the sampler recorded it (timing) or it
@@ -63,22 +68,26 @@ using DrawReplay =
 
 /**
  * The epoch pipeline every reference stream runs through.  Per
- * fixed-size chunk: draw the references serially from @p rng,
- * bucket them by lane, run every lane's bucket through
- * execute(ref) -> RefOutcome (on @p pool when there is one, else
- * inline), then call @p replay, when set, on each reference in draw
- * order.
+ * fixed-size chunk: draw the references from @p rng, bucket them by
+ * lane, run every lane's bucket through execute(ref) -> RefOutcome
+ * (on @p pool when there is one, else inline), then call @p replay,
+ * when set, on each reference in draw order.
  *
- * Draw-ahead: while the pool runs chunk c's lanes, the calling
- * thread draws chunk c+1 into the other buffer.  The draw reads only
- * workload state -- region sizes and pattern cursors, which
- * Workload::advance() writes between epochs, and slot memos, which
- * only the drawing thread touches -- and neither the lanes nor the
- * replay write any of it, so drawing early consumes @p rng exactly
- * as a reference-at-a-time loop would.  Without a pool the same
- * sequence runs with the lanes inline.  @p profiler times the draw,
- * the lanes still running once the draw is done, and the replay as
- * children of the enclosing stream scope.
+ * A draw is two steps (Workload::draw and Workload::resolve): a
+ * serial RNG pass into RefDraw tokens, and a pure resolve of each
+ * token into a MemRef.  With a pool, the calling thread runs chunk
+ * c+1's RNG pass while the pool runs chunk c's lanes, then the pool
+ * resolves chunk c+1 in kResolveBlock blocks; chunk c is replayed and
+ * chunk c+1 bucketed once both have joined.  Without a pool each
+ * block is drawn, resolved and bucketed in turn, after chunk c's
+ * lanes and replay.  The draw reads only workload state, which
+ * Workload::advance() writes between streams, and neither the lanes
+ * nor the replay write any of it, so drawing early consumes @p rng
+ * exactly as a reference-at-a-time loop would.  @p profiler times
+ * the RNG pass and bucketing (`draw`), the resolve (`resolve`, which
+ * with a pool also absorbs the lanes still running), the lanes not
+ * hidden behind a draw, and the replay as children of the enclosing
+ * stream scope.
  */
 template <typename Execute>
 void
@@ -86,18 +95,63 @@ runStream(Workload &workload, Rng &rng, ThreadPool *pool,
           Profiler *profiler, std::uint64_t count,
           const Execute &execute, const DrawReplay &replay)
 {
-    std::array<Chunk, 2> chunks;
-    const auto draw = [&](Chunk &chunk, std::uint64_t refs) {
+    // Tokens and resolved references of the chunk being drawn: all
+    // of it with a pool, one block at a time without.
+    std::vector<RefDraw> draws(
+        std::min(pool != nullptr ? kChunkRefs : kResolveBlock, count));
+    std::vector<MemRef> resolved(draws.size());
+    Chunk chunk;
+    const auto draw_tokens = [&](std::uint64_t refs) {
         PhaseScope scope(profiler, "draw");
-        for (LaneBucket &bucket : chunk.lanes) {
-            bucket.refs.clear();
-        }
-        chunk.drawLanes.clear();
+        workload.draw(rng, {draws.data(), refs});
+    };
+    const auto resolve_range = [&](std::uint64_t lo, std::uint64_t hi) {
+        workload.resolve({draws.data() + lo, hi - lo},
+                         {resolved.data() + lo, hi - lo});
+    };
+    const auto bucket_refs = [&](std::uint64_t refs) {
+        PhaseScope scope(profiler, "draw");
         for (std::uint64_t i = 0; i < refs; ++i) {
-            const MemRef ref = workload.sample(rng);
+            const MemRef &ref = resolved[i];
             const unsigned lane = laneOf(ref.addr);
             chunk.lanes[lane].refs.push_back(ref);
             chunk.drawLanes.push_back(static_cast<std::uint8_t>(lane));
+        }
+    };
+    // Resolve tokens [0, refs) on the pool; this also joins every job
+    // submitted before it.
+    const auto resolve_on_pool = [&](std::uint64_t refs,
+                                     const char *phase) {
+        PhaseScope scope(profiler, phase);
+        pool->parallelFor(
+            0, (refs + kResolveBlock - 1) / kResolveBlock, 1,
+            [&](std::size_t block) {
+                const std::uint64_t lo = block * kResolveBlock;
+                resolve_range(lo, std::min(lo + kResolveBlock, refs));
+            });
+        pool->wait();
+    };
+    // Fill the chunk with the next @p refs references.  With a pool
+    // their tokens are already drawn and resolved.
+    const auto fill = [&](std::uint64_t refs) {
+        for (LaneBucket &lane : chunk.lanes) {
+            lane.refs.clear();
+        }
+        chunk.drawLanes.clear();
+        if (pool != nullptr) {
+            bucket_refs(refs);
+            return;
+        }
+        for (std::uint64_t first = 0; first < refs;
+             first += kResolveBlock) {
+            const std::uint64_t block =
+                std::min(kResolveBlock, refs - first);
+            draw_tokens(block);
+            {
+                PhaseScope scope(profiler, "resolve");
+                resolve_range(0, block);
+            }
+            bucket_refs(block);
         }
     };
     const auto run_lane = [&execute](LaneBucket &bucket) {
@@ -106,48 +160,51 @@ runStream(Workload &workload, Rng &rng, ThreadPool *pool,
             bucket.outcomes[k] = execute(bucket.refs[k]);
         }
     };
-    draw(chunks[0], std::min(kChunkRefs, count));
-    for (std::uint64_t first = 0, c = 0; first < count;
-         first += kChunkRefs, ++c) {
-        Chunk &chunk = chunks[c % 2];
-        try {
-            if (pool != nullptr) {
+    const std::uint64_t first_refs = std::min(kChunkRefs, count);
+    if (pool != nullptr) {
+        draw_tokens(first_refs);
+        resolve_on_pool(first_refs, "resolve");
+    }
+    fill(first_refs);
+    for (std::uint64_t first = 0; first < count; first += kChunkRefs) {
+        const std::uint64_t next = first + kChunkRefs;
+        const std::uint64_t next_refs =
+            next < count ? std::min(kChunkRefs, count - next) : 0;
+        if (pool != nullptr) {
+            try {
                 for (LaneBucket &bucket : chunk.lanes) {
                     pool->submit(
                         [&run_lane, &bucket] { run_lane(bucket); });
                 }
-            }
-            const std::uint64_t next = first + kChunkRefs;
-            if (next < count) {
-                draw(chunks[(c + 1) % 2],
-                     std::min(kChunkRefs, count - next));
-            }
-            PhaseScope scope(profiler, "lanes");
-            if (pool != nullptr) {
-                pool->wait();
-            } else {
-                for (LaneBucket &bucket : chunk.lanes) {
-                    run_lane(bucket);
+                if (next_refs > 0) {
+                    draw_tokens(next_refs);
                 }
-            }
-        } catch (...) {
-            // No lane job may outlive the chunk it reads.
-            if (pool != nullptr) {
+                resolve_on_pool(next_refs,
+                                next_refs > 0 ? "resolve" : "lanes");
+            } catch (...) {
+                // No job may outlive the buffers it reads.
                 pool->wait();
+                throw;
             }
-            throw;
+        } else {
+            PhaseScope scope(profiler, "lanes");
+            for (LaneBucket &bucket : chunk.lanes) {
+                run_lane(bucket);
+            }
         }
-        if (!replay) {
-            continue;
+        if (replay) {
+            // Replay in draw order: one cursor per lane bucket,
+            // advanced by following the recorded lane of each draw.
+            PhaseScope scope(profiler, "replay");
+            std::array<std::size_t, kMachineLanes> cursor{};
+            for (const std::uint8_t lane : chunk.drawLanes) {
+                const std::size_t k = cursor[lane]++;
+                replay(chunk.lanes[lane].refs[k],
+                       chunk.lanes[lane].outcomes[k]);
+            }
         }
-        // Replay in draw order: one cursor per lane bucket, advanced
-        // by following the recorded lane of each draw.
-        PhaseScope scope(profiler, "replay");
-        std::array<std::size_t, kMachineLanes> next{};
-        for (const std::uint8_t lane : chunk.drawLanes) {
-            const std::size_t k = next[lane]++;
-            replay(chunk.lanes[lane].refs[k],
-                   chunk.lanes[lane].outcomes[k]);
+        if (next_refs > 0) {
+            fill(next_refs);
         }
     }
 }

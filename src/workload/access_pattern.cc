@@ -17,16 +17,29 @@ MemoizedPermutation::MemoizedPermutation(std::uint64_t size,
 {
 }
 
+void
+MemoizedPermutation::allocate()
+{
+    table_ = std::make_unique<std::atomic<std::uint32_t>[]>(slots_);
+    for (std::uint64_t i = 0; i < slots_; ++i) {
+        table_[i].store(kUnset, std::memory_order_relaxed);
+    }
+    tableSlots_ = slots_;
+}
+
 UniformPattern::UniformPattern(std::uint64_t span_bytes)
-    : spanBytes_(span_bytes), draw_(span_bytes)
+    : spanBytes_(span_bytes), offsetDraw_(span_bytes)
 {
     TSTAT_ASSERT(span_bytes > 0, "UniformPattern: empty span");
 }
 
-std::uint64_t
-UniformPattern::next(Rng &rng)
+void
+UniformPattern::resolve(std::span<const PatternDraw> tokens,
+                        std::span<std::uint64_t> offsets) const
 {
-    return draw_(rng);
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        offsets[i] = offsetDraw_.reduce(tokens[i].value);
+    }
 }
 
 ZipfianPattern::ZipfianPattern(std::uint64_t span_bytes,
@@ -44,6 +57,8 @@ ZipfianPattern::ZipfianPattern(std::uint64_t span_bytes,
     if (objectBytes_ > 64) {
         withinDraw_ = BoundedDraw(objectBytes_ / 64);
     }
+    TSTAT_ASSERT(withinDraw_.bound() <= ~std::uint32_t{0},
+                 "ZipfianPattern: object too large");
 }
 
 std::uint64_t
@@ -52,14 +67,17 @@ ZipfianPattern::slotForRank(std::uint64_t rank) const
     return scatter_ ? slots_.permutation().map(rank) : rank;
 }
 
-std::uint64_t
-ZipfianPattern::next(Rng &rng)
+void
+ZipfianPattern::resolve(std::span<const PatternDraw> tokens,
+                        std::span<std::uint64_t> offsets) const
 {
-    const std::uint64_t rank = zipf_.sample(rng);
-    const std::uint64_t slot = scatter_ ? slots_.map(rank) : rank;
-    const std::uint64_t within =
-        objectBytes_ <= 64 ? 0 : withinDraw_(rng) * 64;
-    return std::min(slot * objectBytes_ + within, spanBytes_ - 1);
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        const std::uint64_t rank =
+            zipf_.rankAt(Rng::unitDouble(tokens[i].value));
+        const std::uint64_t slot = scatter_ ? slots_.map(rank) : rank;
+        const std::uint64_t within = std::uint64_t{tokens[i].within} * 64;
+        offsets[i] = std::min(slot * objectBytes_ + within, spanBytes_ - 1);
+    }
 }
 
 HotspotPattern::HotspotPattern(std::uint64_t span_bytes,
@@ -86,21 +104,23 @@ HotspotPattern::HotspotPattern(std::uint64_t span_bytes,
     if (objectBytes_ > 64) {
         withinDraw_ = BoundedDraw(objectBytes_ / 64);
     }
+    TSTAT_ASSERT(withinDraw_.bound() <= ~std::uint32_t{0},
+                 "HotspotPattern: object too large");
 }
 
-std::uint64_t
-HotspotPattern::next(Rng &rng)
+void
+HotspotPattern::resolve(std::span<const PatternDraw> tokens,
+                        std::span<std::uint64_t> offsets) const
 {
-    std::uint64_t index;
-    if (rng.nextBool(hotTraffic_)) {
-        index = hotDraw_(rng);
-    } else {
-        index = anyDraw_(rng);
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        const PatternDraw &token = tokens[i];
+        const std::uint64_t index = token.choice == 0
+                                        ? hotDraw_.reduce(token.value)
+                                        : anyDraw_.reduce(token.value);
+        const std::uint64_t slot = scatter_ ? slots_.map(index) : index;
+        const std::uint64_t within = std::uint64_t{token.within} * 64;
+        offsets[i] = std::min(slot * objectBytes_ + within, spanBytes_ - 1);
     }
-    const std::uint64_t slot = scatter_ ? slots_.map(index) : index;
-    const std::uint64_t within =
-        objectBytes_ <= 64 ? 0 : withinDraw_(rng) * 64;
-    return std::min(slot * objectBytes_ + within, spanBytes_ - 1);
 }
 
 SequentialScanPattern::SequentialScanPattern(std::uint64_t span_bytes,
@@ -112,15 +132,13 @@ SequentialScanPattern::SequentialScanPattern(std::uint64_t span_bytes,
                  "SequentialScanPattern: zero stride");
 }
 
-std::uint64_t
-SequentialScanPattern::next(Rng &)
+void
+SequentialScanPattern::resolve(std::span<const PatternDraw> tokens,
+                               std::span<std::uint64_t> offsets) const
 {
-    const std::uint64_t offset = cursor_;
-    cursor_ += strideBytes_;
-    if (cursor_ >= spanBytes_) {
-        cursor_ = 0;
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        offsets[i] = tokens[i].value;
     }
-    return offset;
 }
 
 void
@@ -144,10 +162,14 @@ RecentWindowPattern::RecentWindowPattern(std::uint64_t span_bytes,
                  "RecentWindowPattern: empty window");
 }
 
-std::uint64_t
-RecentWindowPattern::next(Rng &rng)
+void
+RecentWindowPattern::resolve(std::span<const PatternDraw> tokens,
+                             std::span<std::uint64_t> offsets) const
 {
-    return spanBytes_ - windowDraw_.bound() + windowDraw_(rng);
+    const std::uint64_t window_start = spanBytes_ - windowDraw_.bound();
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        offsets[i] = window_start + windowDraw_.reduce(tokens[i].value);
+    }
 }
 
 OffsetPattern::OffsetPattern(std::uint64_t offset_bytes,
@@ -157,10 +179,14 @@ OffsetPattern::OffsetPattern(std::uint64_t offset_bytes,
     TSTAT_ASSERT(inner_ != nullptr, "OffsetPattern without inner");
 }
 
-std::uint64_t
-OffsetPattern::next(Rng &rng)
+void
+OffsetPattern::resolve(std::span<const PatternDraw> tokens,
+                       std::span<std::uint64_t> offsets) const
 {
-    return offsetBytes_ + inner_->next(rng);
+    inner_->resolve(tokens, offsets);
+    for (std::uint64_t &offset : offsets) {
+        offset += offsetBytes_;
+    }
 }
 
 std::uint64_t
@@ -196,13 +222,16 @@ PhaseShiftPattern::PhaseShiftPattern(
                  "PhaseShiftPattern: wrap smaller than inner span");
 }
 
-std::uint64_t
-PhaseShiftPattern::next(Rng &rng)
+void
+PhaseShiftPattern::resolve(std::span<const PatternDraw> tokens,
+                           std::span<std::uint64_t> offsets) const
 {
-    const std::uint64_t raw = inner_->next(rng);
-    return (raw + static_cast<std::uint64_t>(phaseIndex_) *
-                      shiftBytes_) %
-           wrapBytes_;
+    inner_->resolve(tokens, offsets);
+    const std::uint64_t shift =
+        static_cast<std::uint64_t>(phaseIndex_) * shiftBytes_;
+    for (std::uint64_t &offset : offsets) {
+        offset = (offset + shift) % wrapBytes_;
+    }
 }
 
 void

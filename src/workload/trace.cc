@@ -29,6 +29,29 @@ struct FileCloser
 
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/** A whole recorded reference as a RefDraw token. */
+RefDraw
+drawOf(const TraceEntry &entry)
+{
+    RefDraw token{};
+    token.value = entry.addr;
+    token.within = entry.burstLines;
+    token.write = entry.isWrite != 0;
+    return token;
+}
+
+/** The references drawOf() stored. */
+void
+resolveWhole(std::span<const RefDraw> tokens, std::span<MemRef> refs)
+{
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        refs[i].addr = tokens[i].value;
+        refs[i].burstLines = tokens[i].within;
+        refs[i].type =
+            tokens[i].write ? AccessType::Write : AccessType::Read;
+    }
+}
+
 /** Fixed-size header; strings are written separately. */
 struct TraceHeader
 {
@@ -103,16 +126,25 @@ RecordingWorkload::advance(Ns now, AddressSpace &space)
     inner_->advance(now, space);
 }
 
-MemRef
-RecordingWorkload::sample(Rng &rng)
+void
+RecordingWorkload::draw(Rng &rng, std::span<RefDraw> tokens)
 {
-    const MemRef ref = inner_->sample(rng);
-    TraceEntry entry;
-    entry.addr = ref.addr;
-    entry.burstLines = static_cast<std::uint16_t>(ref.burstLines);
-    entry.isWrite = ref.type == AccessType::Write ? 1 : 0;
-    entries_.push_back(entry);
-    return ref;
+    for (RefDraw &token : tokens) {
+        const MemRef ref = inner_->sample(rng);
+        TraceEntry entry;
+        entry.addr = ref.addr;
+        entry.burstLines = static_cast<std::uint16_t>(ref.burstLines);
+        entry.isWrite = ref.type == AccessType::Write ? 1 : 0;
+        entries_.push_back(entry);
+        token = drawOf(entry);
+    }
+}
+
+void
+RecordingWorkload::resolve(std::span<const RefDraw> tokens,
+                           std::span<MemRef> refs) const
+{
+    resolveWhole(tokens, refs);
 }
 
 double
@@ -267,18 +299,22 @@ TraceWorkload::advance(Ns now, AddressSpace &space)
     (void)space;
 }
 
-MemRef
-TraceWorkload::sample(Rng &rng)
+void
+TraceWorkload::draw(Rng &rng, std::span<RefDraw> tokens)
 {
     (void)rng;
     TSTAT_ASSERT(!entries_.empty(), "empty trace");
-    const TraceEntry &entry = entries_[cursor_];
-    cursor_ = (cursor_ + 1) % entries_.size();
-    MemRef ref;
-    ref.addr = entry.addr;
-    ref.burstLines = entry.burstLines;
-    ref.type = entry.isWrite ? AccessType::Write : AccessType::Read;
-    return ref;
+    for (RefDraw &token : tokens) {
+        token = drawOf(entries_[cursor_]);
+        cursor_ = (cursor_ + 1) % entries_.size();
+    }
+}
+
+void
+TraceWorkload::resolve(std::span<const RefDraw> tokens,
+                       std::span<MemRef> refs) const
+{
+    resolveWhole(tokens, refs);
 }
 
 } // namespace thermostat

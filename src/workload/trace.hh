@@ -41,7 +41,9 @@ static_assert(sizeof(TraceEntry) == 12 || sizeof(TraceEntry) == 16,
 
 /**
  * Decorator: behaves exactly like the wrapped workload while
- * logging every sampled reference.
+ * logging every drawn reference.  Its draw() resolves the reference
+ * at once, to log it in draw order, so its resolve() is the
+ * identity.
  */
 class RecordingWorkload : public Workload
 {
@@ -51,7 +53,9 @@ class RecordingWorkload : public Workload
     const std::string &name() const override;
     void setup(AddressSpace &space) override;
     void advance(Ns now, AddressSpace &space) override;
-    MemRef sample(Rng &rng) override;
+    void draw(Rng &rng, std::span<RefDraw> tokens) override;
+    void resolve(std::span<const RefDraw> tokens,
+                 std::span<MemRef> refs) const override;
     double memRefRate() const override;
     double cpuWorkFraction() const override;
     Ns naturalDuration() const override;
@@ -74,7 +78,8 @@ class RecordingWorkload : public Workload
 
 /**
  * Replays a saved trace: maps the recorded regions and serves the
- * recorded references in order, wrapping at the end.
+ * recorded references in order, wrapping at the end.  The whole
+ * reference is read in draw(); resolve() is the identity.
  */
 class TraceWorkload : public Workload
 {
@@ -90,7 +95,9 @@ class TraceWorkload : public Workload
     const std::string &name() const override { return name_; }
     void setup(AddressSpace &space) override;
     void advance(Ns now, AddressSpace &space) override;
-    MemRef sample(Rng &rng) override;
+    void draw(Rng &rng, std::span<RefDraw> tokens) override;
+    void resolve(std::span<const RefDraw> tokens,
+                 std::span<MemRef> refs) const override;
     double memRefRate() const override { return memRefRate_; }
     double cpuWorkFraction() const override
     {

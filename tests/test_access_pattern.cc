@@ -10,6 +10,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "workload/access_pattern.hh"
 
 namespace thermostat
@@ -148,6 +149,7 @@ TEST(MemoizedPermutation, MatchesRawMapInAnyFillOrder)
             MemoizedPermutation memo(n, 21, n);
             EXPECT_EQ(memo.cachedSlots(),
                       std::min(n, MemoizedPermutation::kMaxSlots));
+            memo.prepare();
             // Twice: the first pass fills the table, the second
             // reads it back.
             for (int pass = 0; pass < 2; ++pass) {
@@ -156,6 +158,45 @@ TEST(MemoizedPermutation, MatchesRawMapInAnyFillOrder)
                         << "n=" << n << " index=" << i;
                 }
             }
+        }
+    }
+}
+
+TEST(MemoizedPermutation, ConcurrentFillMatchesRawMap)
+{
+    // Resolves run on pool workers: four of them fill one table
+    // through overlapping index sets, each in its own shuffled order.
+    constexpr unsigned kWorkers = 4;
+    for (const std::uint64_t n : {std::uint64_t{281600},
+                                  std::uint64_t{2580480}}) {
+        const FixedPermutation raw(n, 26);
+        MemoizedPermutation memo(n, 26, n);
+        memo.prepare();
+        // Worker w maps [w * 1024, table end + 4096): all but the
+        // first few table indices are mapped by every worker, and the
+        // last 4096 indices lie past the table.
+        const std::uint64_t end = memo.cachedSlots() + 4096;
+        std::vector<std::vector<std::uint64_t>> sets(kWorkers);
+        for (unsigned w = 0; w < kWorkers; ++w) {
+            for (std::uint64_t i = w * 1024; i < end; ++i) {
+                sets[w].push_back(i);
+            }
+            Rng rng(n + w);
+            rng.shuffle(sets[w]);
+        }
+        std::vector<std::uint64_t> wrong(kWorkers, 0);
+        ThreadPool pool(kWorkers);
+        pool.parallelFor(0, kWorkers, 1, [&](std::size_t w) {
+            for (const std::uint64_t i : sets[w]) {
+                wrong[w] += memo.map(i) != raw.map(i) ? 1 : 0;
+            }
+        });
+        for (unsigned w = 0; w < kWorkers; ++w) {
+            EXPECT_EQ(wrong[w], 0u) << "n=" << n << " worker " << w;
+        }
+        for (std::uint64_t i = 0; i < memo.cachedSlots(); ++i) {
+            ASSERT_EQ(memo.map(i), raw.map(i))
+                << "n=" << n << " index=" << i;
         }
     }
 }

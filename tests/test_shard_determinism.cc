@@ -21,9 +21,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness.hh"
@@ -245,20 +249,32 @@ TEST(ShardDeterminism, MultiChunkStreamsMatchSerialReference)
     expectMatrixMatchesSerial(1, multiChunkCells);
 }
 
-/** Uniform offsets over 32MB until its budget runs out, then throws. */
+/**
+ * Uniform offsets over 32MB until its draw budget runs out, then its
+ * draw throws.
+ */
 class FailingPattern : public AccessPattern
 {
   public:
     explicit FailingPattern(std::uint64_t budget) : budget_(budget) {}
 
-    std::uint64_t
-    next(Rng &rng) override
+    PatternDraw
+    draw(Rng &rng) override
     {
         if (budget_ == 0) {
             throw std::runtime_error("draw failed");
         }
         --budget_;
-        return rng.nextBounded(spanBytes());
+        return {rng.nextBounded(spanBytes()), 0, 0};
+    }
+
+    void
+    resolve(std::span<const PatternDraw> tokens,
+            std::span<std::uint64_t> offsets) const override
+    {
+        for (std::size_t i = 0; i < tokens.size(); ++i) {
+            offsets[i] = tokens[i].value;
+        }
     }
 
     std::uint64_t spanBytes() const override { return 32_MiB; }
@@ -267,24 +283,102 @@ class FailingPattern : public AccessPattern
     std::uint64_t budget_;
 };
 
+/** A one-component workload over 64MB drawing from @p pattern. */
+std::unique_ptr<Workload>
+singlePatternWorkload(std::unique_ptr<AccessPattern> pattern)
+{
+    auto workload = std::make_unique<ComposedWorkload>(
+        "failing", 200.0e3, 0.8, 300 * kNsPerSec);
+    workload->addRegion({"data", 64_MiB, 0, true, false});
+    TrafficComponent traffic;
+    traffic.region = "data";
+    traffic.pattern = std::move(pattern);
+    workload->addComponent(std::move(traffic));
+    return workload;
+}
+
 TEST(ShardDeterminism, DrawErrorJoinsLanesBeforePropagating)
 {
     // The draw of chunk 1 throws while chunk 0's lanes are in
     // flight: the error must reach the caller only after the lanes
     // have joined, since they read the chunk the unwinding frees.
     for (const unsigned shards : {1u, 4u}) {
-        auto workload = std::make_unique<ComposedWorkload>(
-            "failing", 200.0e3, 0.8, 300 * kNsPerSec);
-        workload->addRegion({"data", 64_MiB, 0, true, false});
-        TrafficComponent traffic;
-        traffic.region = "data";
-        traffic.pattern = std::make_unique<FailingPattern>(65536 + 100);
-        workload->addComponent(std::move(traffic));
         SimConfig config = tinySimConfig(5);
         config.samplesPerEpoch = 2 * 65536;
         config.shards = shards;
-        Simulation sim(std::move(workload), config);
+        Simulation sim(singlePatternWorkload(
+                           std::make_unique<FailingPattern>(65536 + 100)),
+                       config);
         EXPECT_THROW(sim.run(), std::runtime_error) << shards;
+    }
+}
+
+/**
+ * Uniform offsets over 32MB whose resolve throws for the draw with
+ * index @p fail_at.  Every resolve counts itself in and out of
+ * `active`, and one in 512 lingers, so jobs are still running when
+ * the failing one throws.
+ */
+class ResolveFailingPattern : public AccessPattern
+{
+  public:
+    ResolveFailingPattern(std::uint64_t fail_at,
+                          std::atomic<int> &active)
+        : failAt_(fail_at), active_(active)
+    {
+    }
+
+    PatternDraw
+    draw(Rng &rng) override
+    {
+        PatternDraw token{rng.nextBounded(spanBytes()), 0, 0};
+        token.within = drawn_++ == failAt_ ? 1 : 0;
+        return token;
+    }
+
+    void
+    resolve(std::span<const PatternDraw> tokens,
+            std::span<std::uint64_t> offsets) const override
+    {
+        ++active_;
+        for (std::size_t i = 0; i < tokens.size(); ++i) {
+            if (tokens[i].within != 0) {
+                --active_;
+                throw std::runtime_error("resolve failed");
+            }
+            if (tokens[i].value % 512 == 0) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(200));
+            }
+            offsets[i] = tokens[i].value;
+        }
+        --active_;
+    }
+
+    std::uint64_t spanBytes() const override { return 32_MiB; }
+
+  private:
+    std::uint64_t failAt_;
+    std::uint64_t drawn_ = 0;
+    std::atomic<int> &active_;
+};
+
+TEST(ShardDeterminism, ResolveErrorJoinsBeforePropagating)
+{
+    // Chunk 1's resolve throws on a worker while chunk 0's lanes and
+    // the other resolve blocks are in flight: the error must reach
+    // the caller only after every job has joined.
+    for (const unsigned shards : {1u, 4u}) {
+        std::atomic<int> active{0};
+        SimConfig config = tinySimConfig(5);
+        config.samplesPerEpoch = 2 * 65536;
+        config.shards = shards;
+        Simulation sim(singlePatternWorkload(
+                           std::make_unique<ResolveFailingPattern>(
+                               65536 + 100, active)),
+                       config);
+        EXPECT_THROW(sim.run(), std::runtime_error) << shards;
+        EXPECT_EQ(active.load(), 0) << shards;
     }
 }
 

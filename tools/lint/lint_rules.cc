@@ -57,13 +57,15 @@ rules()
          "concurrency classification; annotate TSTAT_GUARDED_BY, make "
          "it lane-indexed (name contains 'lane'), or mark it "
          "'// shard: <class>' (lane-local | serial-only | read-only | "
-         "merge-barrier)",
+         "merge-barrier | idempotent)",
          {{"src/sim/machine.hh", "src/sim/simulation.hh",
            "src/tlb/tlb.hh", "src/cache/llc.hh",
            "src/sys/badger_trap.hh", "src/obs/access_sampler.hh",
            "src/vm/page_table.hh", "src/vm/page_walker.hh",
            "src/migrate/migration_queue.hh",
-           "src/migrate/transaction_engine.hh"},
+           "src/migrate/transaction_engine.hh",
+           "src/workload/access_pattern.hh",
+           "src/workload/workload.hh"},
           {}}},
         // --- cross-TU project rules (built on the project model) ---
         {"subsystem-layering",
