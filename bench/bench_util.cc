@@ -65,6 +65,7 @@ runThermostat(const std::string &workload,
         standardConfig(workload, tolerable_slowdown_pct, duration);
     config.seed = seed;
     config.warmup = warmup;
+    config.traceMask = 0; // only the result is kept: no trace export
     Simulation sim(makeWorkload(workload, seed), config);
     return sim.run();
 }
@@ -80,6 +81,7 @@ runPolicy(const std::string &workload, const std::string &policy,
     config.warmup = warmup;
     config.policy = policy;
     config.policyParams.coldFraction = cold_fraction;
+    config.traceMask = 0; // only the result is kept: no trace export
     Simulation sim(makeWorkload(workload, seed), config);
     return sim.run();
 }

@@ -47,6 +47,7 @@ main(int argc, char **argv)
             scaledDuration(std::min(natural, 1200L), quick);
 
         SimConfig config = standardConfig(name, 3.0, duration);
+        config.traceMask = 0; // no trace export
         Simulation sim(makeWorkload(name), config);
         const SimResult r = sim.run();
 

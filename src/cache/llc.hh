@@ -49,8 +49,11 @@ struct LlcStats
 
 /**
  * Set-associative, physically-indexed LLC with LRU replacement.
+ * One cache is one machine lane's slice (LlcShards), and every
+ * access writes its LRU clock and counters, so it occupies whole
+ * cache lines.
  */
-class LastLevelCache
+class alignas(kCacheLineBytes) LastLevelCache
 {
   public:
     explicit LastLevelCache(const LlcConfig &config);
@@ -134,6 +137,10 @@ class LastLevelCache
     std::uint64_t useClock_ = 0; // shard: lane-local
     LlcStats stats_; // shard: lane-local
 };
+
+static_assert(alignof(LastLevelCache) == kCacheLineBytes &&
+                  sizeof(LastLevelCache) % kCacheLineBytes == 0,
+              "adjacent LLC lane slices must not share a cache line");
 
 /**
  * Address-hash lane router over kMachineLanes independent LLC

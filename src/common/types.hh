@@ -11,6 +11,7 @@
 #ifndef THERMOSTAT_COMMON_TYPES_HH
 #define THERMOSTAT_COMMON_TYPES_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -140,6 +141,13 @@ laneOf(Addr addr)
     return static_cast<unsigned>(
         (vpn2M(addr) * 0x9e3779b97f4a7c15ULL) >> 61);
 }
+
+/**
+ * Host cache-line size.  Every per-lane slice of hot machine state
+ * is aligned to it (and so padded to a multiple of it), so lane
+ * workers on different cores never write into the same line.
+ */
+constexpr std::size_t kCacheLineBytes = 64;
 
 /** Whether a memory reference reads or writes its target. */
 enum class AccessType : std::uint8_t { Read, Write };

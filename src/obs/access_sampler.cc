@@ -9,7 +9,7 @@ namespace thermostat
 
 AccessSampler::AccessSampler(const AccessSamplerConfig &config,
                              std::uint64_t run_seed)
-    : config_(config)
+    : config_(config), lanes_(kMachineLanes)
 {
     // One independent, deterministically derived stream per lane:
     // splitmix the salted run seed forward once per lane so the lane

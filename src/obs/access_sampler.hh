@@ -35,8 +35,6 @@
 #include <string>
 #include <vector>
 
-#include <array>
-
 #include "common/page_counters.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -169,8 +167,11 @@ class AccessSampler
     void reset();
 
   private:
-    /** One machine lane's sampling state (see class comment). */
-    struct LaneState
+    /**
+     * One machine lane's sampling state (see class comment), on
+     * whole cache lines so neighbouring lanes never share one.
+     */
+    struct alignas(kCacheLineBytes) LaneState
     {
         Rng rng;
         std::uint64_t gap = 1;          // shard: lane-local
@@ -185,6 +186,9 @@ class AccessSampler
         std::size_t recordHead = 0;     // shard: lane-local
         std::uint64_t recordsDropped = 0; // shard: lane-local
     };
+    static_assert(sizeof(LaneState) % kCacheLineBytes == 0,
+                  "adjacent sampler lane slices must not share a "
+                  "cache line");
 
     void record(LaneState &lane, const AccessSample &sample);
 
@@ -192,7 +196,11 @@ class AccessSampler
     std::uint64_t nextGap(LaneState &lane);
 
     AccessSamplerConfig config_; // shard: read-only
-    std::array<LaneState, kMachineLanes> lanes_;
+    /**
+     * kMachineLanes slices.  Heap storage keeps the sampler free of
+     * over-alignment.
+     */
+    std::vector<LaneState> lanes_;
 };
 
 } // namespace thermostat

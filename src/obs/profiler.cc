@@ -71,12 +71,23 @@ Profiler::leave(int node, Ns elapsed)
     }
 }
 
+void
+Profiler::record(const char *name, Ns value)
+{
+    Node &node = nodes_[findOrAddChild(current_, name)];
+    node.concurrent = true;
+    ++node.count;
+    node.totalNs += value;
+}
+
 Ns
 Profiler::childrenTotal(const Node &node) const
 {
     Ns total = 0;
     for (const int child : node.children) {
-        total += nodes_[child].totalNs;
+        if (!nodes_[child].concurrent) {
+            total += nodes_[child].totalNs;
+        }
     }
     return total;
 }
@@ -107,6 +118,10 @@ Profiler::writeNode(int index, std::string &out, int depth) const
     w.key("self_ns");
     w.value(static_cast<std::uint64_t>(
         index == 0 ? 0 : selfNs(node)));
+    if (node.concurrent) {
+        w.key("concurrent");
+        w.value(true);
+    }
     w.endObject();
     // Splice children into the object by rewriting the closing
     // brace; JsonWriter has no reentrant nesting across calls.
@@ -146,16 +161,17 @@ Profiler::toText() const
         const Node &node = nodes_[static_cast<std::size_t>(index)];
         const Ns total =
             index == 0 ? childrenTotal(node) : node.totalNs;
-        char line[160];
+        char line[176];
         std::snprintf(line, sizeof(line),
                       "%*s%-24s %10llu calls %12.3f ms total "
-                      "%12.3f ms self\n",
+                      "%12.3f ms self%s\n",
                       depth * 2, "", node.name.c_str(),
                       static_cast<unsigned long long>(node.count),
                       static_cast<double>(total) / 1e6,
                       static_cast<double>(
                           index == 0 ? 0 : selfNs(node)) /
-                          1e6);
+                          1e6,
+                      node.concurrent ? " (concurrent)" : "");
         out += line;
         for (auto it = node.children.rbegin();
              it != node.children.rend(); ++it) {

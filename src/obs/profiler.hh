@@ -44,6 +44,8 @@ class Profiler
         std::vector<int> children;
         std::uint64_t count = 0;
         Ns totalNs = 0;
+        /** Added by record(): overlaps the parent's interval. */
+        bool concurrent = false;
     };
 
     explicit Profiler(bool enabled = true);
@@ -59,6 +61,15 @@ class Profiler
     int enter(const char *name);
     void leave(int node, Ns elapsed);
 
+    /**
+     * Add @p value to the child named @p name of the current node
+     * without timing it: host time that other threads (lane
+     * workers) spent while the current node ran.  Such a child
+     * overlaps its parent's own interval, so childrenTotal() and
+     * selfNs() leave it out, and exports mark it concurrent.
+     */
+    void record(const char *name, Ns value);
+
     /** Host ns since profiler construction (monotonic). */
     Ns now() const;
 
@@ -67,7 +78,7 @@ class Profiler
     const std::vector<Node> &nodes() const { return nodes_; }
     const Node &root() const { return nodes_[0]; }
 
-    /** Sum of @p node's direct children's totals. */
+    /** Sum of @p node's direct, non-concurrent children's totals. */
     Ns childrenTotal(const Node &node) const;
 
     /** Total minus children (never negative). */

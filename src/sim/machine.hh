@@ -148,6 +148,34 @@ class Machine
     explicit Machine(const MachineConfig &config);
 
     /**
+     * One machine lane's mutable access-path state.  Every access
+     * writes its counters, so each lane's slice occupies whole cache
+     * lines: neighbouring lanes run on different cores.
+     */
+    struct alignas(kCacheLineBytes) LaneState
+    {
+        explicit LaneState(const WalkerConfig &walker_config)
+            : walker(walker_config)
+        {
+        }
+
+        PageWalker walker;
+        MachineStats stats;
+        Count slowAccessWindow = 0; // shard: lane-local
+        bool devicePending = false; // shard: lane-local
+        /** Deferred device traffic, [0]=fast [1]=slow tier. */
+        TierStats tierDelta[2];
+        /** Deferred per-frame wear (line writes), same indexing. */
+        FlatMap<Pfn, Count> wearDelta[2];
+    };
+    static_assert(sizeof(LaneState) % kCacheLineBytes == 0,
+                  "adjacent machine lane slices must not share a "
+                  "cache line");
+
+    /** Lane @p lane's slice (layout tests; merged views below). */
+    const LaneState &lane(unsigned lane) const { return lanes_[lane]; }
+
+    /**
      * Execute one sampled burst reference representing @p weight
      * real bursts.  The first line access pays the TLB/walk/fault
      * path; the remaining @p burst_lines - 1 line accesses on the
@@ -248,24 +276,6 @@ class Machine
     };
 
     static EffectiveCosts computeCosts(const MachineConfig &config);
-
-    /** One machine lane's mutable access-path state. */
-    struct LaneState
-    {
-        explicit LaneState(const WalkerConfig &walker_config)
-            : walker(walker_config)
-        {
-        }
-
-        PageWalker walker;
-        MachineStats stats;
-        Count slowAccessWindow = 0; // shard: lane-local
-        bool devicePending = false; // shard: lane-local
-        /** Deferred device traffic, [0]=fast [1]=slow tier. */
-        TierStats tierDelta[2];
-        /** Deferred per-frame wear (line writes), same indexing. */
-        FlatMap<Pfn, Count> wearDelta[2];
-    };
 
     MachineConfig config_;  // shard: read-only
     TieredMemory memory_;   // shard: merge-barrier (syncDeviceState)

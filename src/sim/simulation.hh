@@ -366,13 +366,12 @@ class Simulation
   private:
     void recordFootprint(SimResult &result, Ns now);
 
-    /** One epoch's timing stream. */
-    void runTimingStream(Count weight, Ns &epoch_actual,
-                         Ns &epoch_baseline);
-
-    /** One epoch's profiling stream. */
-    void runProfileStream(std::uint64_t profile_samples,
-                          Count pebs_budget);
+    /**
+     * One epoch's two reference streams through the chunk schedule:
+     * the timing stream, which adds its memory time to @p
+     * epoch_actual and @p epoch_baseline, then the profiling stream.
+     */
+    void runEpochStreams(Ns &epoch_actual, Ns &epoch_baseline);
 
     /** Cumulative counters latched to compute per-epoch deltas. */
     struct EpochBase

@@ -8,7 +8,7 @@ namespace thermostat
 
 BadgerTrap::BadgerTrap(AddressSpace &space, TlbShards &tlb,
                        const BadgerTrapConfig &config)
-    : space_(space), tlb_(tlb), config_(config)
+    : space_(space), tlb_(tlb), config_(config), lanes_(kMachineLanes)
 {
 }
 

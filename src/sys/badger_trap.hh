@@ -15,8 +15,8 @@
 #ifndef THERMOSTAT_SYS_BADGER_TRAP_HH
 #define THERMOSTAT_SYS_BADGER_TRAP_HH
 
-#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/page_counters.hh"
 #include "common/types.hh"
@@ -135,23 +135,36 @@ class BadgerTrap
     /** Number of pages currently tracked (poisoned at some point). */
     std::size_t trackedPages() const;
 
-  private:
-    /** One machine lane's mutable hot-path state. */
-    struct LaneState
+    /**
+     * One machine lane's mutable hot-path state, on whole cache
+     * lines so neighbouring lanes' counters never share one.
+     */
+    struct alignas(kCacheLineBytes) LaneState
     {
         Count faults = 0;         // shard: lane-local
         Count weightedFaults = 0; // shard: lane-local
         Ns handlerTime = 0;       // shard: lane-local
         PageCounterShard counts;
     };
+    static_assert(sizeof(LaneState) % kCacheLineBytes == 0,
+                  "adjacent trap lane slices must not share a cache "
+                  "line");
 
+    /** Lane @p lane's slice (layout tests; merged views above). */
+    const LaneState &lane(unsigned lane) const { return lanes_[lane]; }
+
+  private:
     AddressSpace &space_; // shard: read-only
     TlbShards &tlb_; // shard: read-only
     BadgerTrapConfig config_; // shard: read-only
     // shard: serial-only
     BadgerTrapStats controlStats_; //!< serial-phase counters only
     EventTracer *tracer_ = nullptr; // shard: serial-only
-    std::array<LaneState, kMachineLanes> lanes_;
+    /**
+     * kMachineLanes slices.  Heap storage keeps the trap (and the
+     * Machine holding it) free of over-alignment.
+     */
+    std::vector<LaneState> lanes_;
 };
 
 } // namespace thermostat

@@ -146,9 +146,11 @@ class Tlb
 /**
  * Two-level TLB hierarchy: private L1 backed by a shared L2.
  * Lookup latency (L1 hit / L2 hit) is accounted by the caller's
- * machine model; this class reports which level hit.
+ * machine model; this class reports which level hit.  One hierarchy
+ * is one machine lane's slice (TlbShards), and every lookup writes
+ * its LRU clock and counters, so it occupies whole cache lines.
  */
-class TlbHierarchy
+class alignas(kCacheLineBytes) TlbHierarchy
 {
   public:
     enum class HitLevel { L1, L2, Miss };
@@ -175,6 +177,10 @@ class TlbHierarchy
     Tlb l1_; // shard: lane-local
     Tlb l2_; // shard: lane-local
 };
+
+static_assert(alignof(TlbHierarchy) == kCacheLineBytes &&
+                  sizeof(TlbHierarchy) % kCacheLineBytes == 0,
+              "adjacent TLB lane slices must not share a cache line");
 
 /**
  * Address-hash lane router over kMachineLanes independent

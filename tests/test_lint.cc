@@ -201,6 +201,23 @@ TEST(Lint, ShardStateClassificationsAreQuiet)
         << r.output;
 }
 
+// A `// shard:` marker trailing one member's declaration classifies
+// that member only: an unmarked member on the next line still fires.
+TEST(Lint, TrailingMarkerClassifiesOnlyItsOwnMember)
+{
+    const LintResult r =
+        runLint(fixturesRoot() + "src/sim/machine.hh");
+    EXPECT_EQ(r.exitCode, 1) << r.output;
+    EXPECT_NE(r.output.find("member 'cursor_' is unclassified"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("member 'hits_' is unclassified"),
+              std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("member 'stride_'"), std::string::npos)
+        << r.output;
+}
+
 // Inline `lint:allow(<rule>)` markers suppress on the same line and
 // on the immediately preceding comment line.
 TEST(Lint, InlineSuppressionSilencesBothPlacements)

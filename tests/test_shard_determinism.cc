@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -128,11 +129,16 @@ replayCells(std::uint64_t seed)
 
 /**
  * Cells whose streams each span three or more 65536-reference
- * chunks, so the draw of chunk c+1 overlaps the lanes of chunk c:
+ * chunks, so the pipeline's draw, resolve and lane steps of
+ * neighbouring chunks overlap, and its chunk sequence crosses from
+ * the timing stream into the profiling stream:
  * in-memory-analytics (region growth, a scattered Zipf pattern, a
- * scan) and nomad over write-heavy cassandra, deciding every epoch
- * so that demotion transactions are open while its replay feeds
- * writes to the transaction engine.
+ * scan), nomad over write-heavy cassandra, deciding every epoch so
+ * that demotion transactions are open while its replay feeds writes
+ * to the transaction engine, PEBS over analytics, whose modulo
+ * counter and record budget run across every chunk and stream
+ * boundary in draw order, and sampler feedback over redis, whose
+ * timing replay feeds the policy before the profiling replay does.
  */
 std::vector<Cell>
 multiChunkCells(std::uint64_t seed)
@@ -155,6 +161,17 @@ multiChunkCells(std::uint64_t seed)
     nomad.config.policyParams.coldFraction = 0.4;
     nomad.config.policyParams.decisionPeriod = kNsPerSec;
     cells.push_back(std::move(nomad));
+
+    Cell pebs{"pebs-multichunk", tuned("in-memory-analytics"),
+              "in-memory-analytics"};
+    pebs.config.machine.countingMode = CountingMode::Pebs;
+    cells.push_back(std::move(pebs));
+
+    Cell sampled{"sampler-feedback-multichunk", tuned("redis"),
+                 "redis"};
+    sampled.config.policy = "hotness";
+    sampled.config.samplerFeedback = true;
+    cells.push_back(std::move(sampled));
     return cells;
 }
 
@@ -244,19 +261,44 @@ TEST(ShardDeterminism, ReplayModesMatchSerialReference)
 
 TEST(ShardDeterminism, MultiChunkStreamsMatchSerialReference)
 {
-    // The draw-ahead path: each epoch's streams cross chunk
-    // boundaries, so chunk c+1 is drawn while chunk c's lanes run.
+    // The pipelined path: each epoch's streams cross chunk
+    // boundaries, so chunk c+2 is drawn and chunk c+1 resolved while
+    // chunk c's lanes run, across the boundary between the streams.
     expectMatrixMatchesSerial(1, multiChunkCells);
 }
 
 /**
+ * Both streams of every multi-chunk cell span at least three chunks
+ * (the profiling stream's length follows the app's reference rate),
+ * so the cells above keep covering the boundaries they name.
+ */
+TEST(ShardDeterminism, MultiChunkCellsSpanThreeChunksPerStream)
+{
+    for (const Cell &cell : multiChunkCells(1)) {
+        Simulation sim(makeWorkload(cell.app, 1), cell.config);
+        const double refs = sim.workload().memRefRate() *
+                            static_cast<double>(cell.config.epoch) /
+                            static_cast<double>(kNsPerSec) /
+                            static_cast<double>(cell.config.profileWeight);
+        EXPECT_GT(cell.config.samplesPerEpoch, 2u * 65536u) << cell.name;
+        EXPECT_GT(refs, 2.0 * 65536.0) << cell.name;
+    }
+}
+
+/**
  * Uniform offsets over 32MB until its draw budget runs out, then its
- * draw throws.
+ * draw throws.  Given @p active, every resolve counts itself in and
+ * out of it, and one draw in 512 lingers, so resolve jobs are still
+ * running when the draw throws.
  */
 class FailingPattern : public AccessPattern
 {
   public:
-    explicit FailingPattern(std::uint64_t budget) : budget_(budget) {}
+    explicit FailingPattern(std::uint64_t budget,
+                            std::atomic<int> *active = nullptr)
+        : budget_(budget), active_(active)
+    {
+    }
 
     PatternDraw
     draw(Rng &rng) override
@@ -272,8 +314,18 @@ class FailingPattern : public AccessPattern
     resolve(std::span<const PatternDraw> tokens,
             std::span<std::uint64_t> offsets) const override
     {
+        if (active_ != nullptr) {
+            ++*active_;
+        }
         for (std::size_t i = 0; i < tokens.size(); ++i) {
+            if (active_ != nullptr && tokens[i].value % 512 == 0) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(200));
+            }
             offsets[i] = tokens[i].value;
+        }
+        if (active_ != nullptr) {
+            --*active_;
         }
     }
 
@@ -281,6 +333,7 @@ class FailingPattern : public AccessPattern
 
   private:
     std::uint64_t budget_;
+    std::atomic<int> *active_;
 };
 
 /** A one-component workload over 64MB drawing from @p pattern. */
@@ -310,6 +363,26 @@ TEST(ShardDeterminism, DrawErrorJoinsLanesBeforePropagating)
                            std::make_unique<FailingPattern>(65536 + 100)),
                        config);
         EXPECT_THROW(sim.run(), std::runtime_error) << shards;
+    }
+}
+
+TEST(ShardDeterminism, ProfileDrawErrorDuringTimingLanesJoins)
+{
+    // The timing stream spans two chunks, and the profiling stream's
+    // first RNG pass runs out of budget: with a pool it runs while
+    // timing chunk 0's lanes run and chunk 1 resolves.  The error
+    // must reach the caller only after every job has joined.
+    for (const unsigned shards : {1u, 4u}) {
+        std::atomic<int> active{0};
+        SimConfig config = tinySimConfig(5);
+        config.samplesPerEpoch = 2 * 65536;
+        config.shards = shards;
+        Simulation sim(singlePatternWorkload(
+                           std::make_unique<FailingPattern>(
+                               2 * 65536 + 100, &active)),
+                       config);
+        EXPECT_THROW(sim.run(), std::runtime_error) << shards;
+        EXPECT_EQ(active.load(), 0) << shards;
     }
 }
 
@@ -380,6 +453,52 @@ TEST(ShardDeterminism, ResolveErrorJoinsBeforePropagating)
         EXPECT_THROW(sim.run(), std::runtime_error) << shards;
         EXPECT_EQ(active.load(), 0) << shards;
     }
+}
+
+/** Whether @p a and @p b touch a common host cache line. */
+template <typename Slice>
+bool
+shareCacheLine(const Slice &a, const Slice &b)
+{
+    const auto line = [](const Slice &slice, std::size_t byte) {
+        return (reinterpret_cast<std::uintptr_t>(&slice) + byte) /
+               kCacheLineBytes;
+    };
+    return line(a, 0) <= line(b, sizeof(Slice) - 1) &&
+           line(b, 0) <= line(a, sizeof(Slice) - 1);
+}
+
+/** Expect no two lane slices @p slice(l) to share a cache line. */
+template <typename SliceOf>
+void
+expectLanesOnOwnLines(const char *what, const SliceOf &slice)
+{
+    for (unsigned a = 0; a < kMachineLanes; ++a) {
+        for (unsigned b = a + 1; b < kMachineLanes; ++b) {
+            EXPECT_FALSE(shareCacheLine(slice(a), slice(b)))
+                << what << " lanes " << a << " and " << b;
+        }
+    }
+}
+
+TEST(LaneLayout, LaneSlicesNeverShareACacheLine)
+{
+    // Lane workers write their slices on every access; a line two
+    // slices share would bounce between their cores (and the
+    // ownership argument behind the lanes says they share nothing).
+    Machine machine(tinySimConfig().machine);
+    expectLanesOnOwnLines("TlbShards", [&](unsigned lane) -> auto & {
+        return machine.tlb().lane(lane);
+    });
+    expectLanesOnOwnLines("LlcShards", [&](unsigned lane) -> auto & {
+        return machine.llc().lane(lane);
+    });
+    expectLanesOnOwnLines("Machine", [&](unsigned lane) -> auto & {
+        return machine.lane(lane);
+    });
+    expectLanesOnOwnLines("BadgerTrap", [&](unsigned lane) -> auto & {
+        return machine.trap().lane(lane);
+    });
 }
 
 TEST(ShardDeterminism, AutoShardsNeverExceedLanes)

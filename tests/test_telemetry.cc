@@ -215,6 +215,25 @@ TEST(FlightRecorder, ExportsAreWellFormedAndCarryMeta)
 // Profiler
 // ---------------------------------------------------------------
 
+TEST(Profiler, RecordedChildrenStayOutOfTheTimedTree)
+{
+    Profiler prof(true);
+    {
+        PhaseScope stream(&prof, "stream");
+        prof.record("lanes_busy_max", 5'000'000'000ULL);
+    }
+    const Profiler::Node &stream = prof.nodes()[1];
+    const Profiler::Node &busy = prof.nodes()[2];
+    EXPECT_TRUE(busy.concurrent);
+    EXPECT_EQ(busy.count, 1u);
+    EXPECT_EQ(busy.totalNs, 5'000'000'000ULL);
+    // Host time of other threads: not part of the parent's interval.
+    EXPECT_EQ(prof.childrenTotal(stream), 0u);
+    EXPECT_EQ(prof.selfNs(stream), stream.totalNs);
+    EXPECT_NE(prof.toJson().find("\"concurrent\":true"),
+              std::string::npos);
+}
+
 TEST(Profiler, TreeInvariantsHold)
 {
     Profiler prof(true);

@@ -304,8 +304,14 @@ scanShardMember(const std::string &rel,
     std::transform(lowered.begin(), lowered.end(), lowered.begin(),
                    [](unsigned char c) { return std::tolower(c); });
     member.laneNamed = lowered.find("lane") != std::string::npos;
+    // The member's own line, or a comment-only line above it: a
+    // marker trailing the previous member's declaration classifies
+    // that member, not this one.
     for (std::size_t i = index == 0 ? index : index - 1;
          i <= index; ++i) {
+        if (i != index && !trim(lines[i].code).empty()) {
+            continue;
+        }
         const std::size_t at = lines[i].raw.find("// shard:");
         if (at != std::string::npos) {
             member.classification =

@@ -324,6 +324,12 @@ main(int argc, char **argv)
         usage(argv[0]); // exactly one of --workload / --tenants
     }
 
+    // The event ring only feeds --trace-out; without one, keep
+    // nothing, so an overflow warning marks a real export loss.  The
+    // lifecycle auditor's sink still sees every event.
+    if (trace_out.empty()) {
+        config.traceMask = 0;
+    }
     config.params.tolerableSlowdownPct = target;
     config.params.spreadHugePages = spread;
     config.thermostatEnabled = enabled;
