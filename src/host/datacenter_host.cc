@@ -145,15 +145,6 @@ DatacenterHost::deriveConfig(const TenantSpec &spec,
     cfg.machine.addressBase = windowBase(index) == kFirstRegionBase
                                   ? 0
                                   : windowBase(index);
-    if (!spec.faultPlan.empty()) {
-        std::string error;
-        FaultPlan plan;
-        if (!FaultPlan::parse(spec.faultPlan, plan, error)) {
-            TSTAT_FATAL("tenant '%s': bad fault-plan: %s",
-                        spec.id.c_str(), error.c_str());
-        }
-        cfg.faultPlan = plan;
-    }
     return cfg;
 }
 

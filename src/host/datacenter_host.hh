@@ -55,8 +55,8 @@ struct HostConfig
 {
     /**
      * Template for every tenant's SimConfig.  Per-tenant fields
-     * (seed, policy, knobs, machine tuning, address window, fault
-     * plan) are derived from the TenantSpec on top of this base.
+     * (seed, policy, knobs, machine tuning, address window) are
+     * derived from the TenantSpec on top of this base.
      */
     SimConfig base;
 

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <set>
 
-#include "fault/fault_injector.hh"
 #include "policy/policy_factory.hh"
 #include "workload/cloud_apps.hh"
 
@@ -183,18 +182,12 @@ parseTenantLine(const std::string &line, std::size_t line_no,
                 return false;
             }
             spec->count = v;
-        } else if (key == "fault-plan") {
-            FaultPlan plan;
-            std::string plan_error;
-            if (!FaultPlan::parse(value, plan, plan_error)) {
-                *error = lineError(line_no, "bad fault-plan: " +
-                                                plan_error);
-                return false;
-            }
-            spec->faultPlan = value;
         } else {
-            *error = lineError(line_no,
-                               "unknown key '" + key + "'");
+            *error = lineError(
+                line_no, listingError("key", key,
+                                      {"id", "workload", "policy",
+                                       "target", "cold-fraction",
+                                       "count"}));
             return false;
         }
     }

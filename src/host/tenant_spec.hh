@@ -16,9 +16,8 @@
  *
  * Keys: id (required), workload (required), policy, target
  * (thermostat's tolerable-slowdown percent), cold-fraction (the
- * comparison engines' knob), count (replica expansion: id becomes
- * id.0 .. id.N-1) and fault-plan (per-tenant fault injection spec,
- * grammar in src/fault/fault_injector.hh).
+ * comparison engines' knob) and count (replica expansion: id
+ * becomes id.0 .. id.N-1).
  *
  * Parsing is strict: unknown keys, malformed numbers, unknown
  * workload/policy names and duplicate ids (after expansion) are
@@ -48,8 +47,6 @@ struct TenantSpec
     double targetPct = 3.0;
     /** Replicas this line expands into (>= 1). */
     unsigned count = 1;
-    /** Per-tenant fault-injection spec; empty = fault-free. */
-    std::string faultPlan;
 };
 
 /**

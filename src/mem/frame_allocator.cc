@@ -1,7 +1,5 @@
 #include "mem/frame_allocator.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace thermostat
@@ -74,12 +72,6 @@ FrameAllocator::freeHuge(Pfn base)
     TSTAT_ASSERT(allocatedFrames_ >= kSubpagesPerHuge,
                  "freeHuge underflow");
     allocatedFrames_ -= kSubpagesPerHuge;
-    if (retiredBlocks_.count(base) != 0) {
-        // Retirement was pending on this block; it leaves service
-        // instead of returning to the free list.
-        retiredFrames_ += kSubpagesPerHuge;
-        return;
-    }
     freeHugeBlocks_.push_back(base);
 }
 
@@ -96,14 +88,6 @@ FrameAllocator::freeBase(Pfn pfn)
     --block.allocated;
     TSTAT_ASSERT(allocatedFrames_ > 0, "freeBase underflow");
     --allocatedFrames_;
-    if (retiredBlocks_.count(block_base) != 0) {
-        ++retiredFrames_;
-        if (block.allocated == 0) {
-            // Last live frame gone; the block is fully retired.
-            brokenBlocks_.erase(it);
-        }
-        return;
-    }
     if (block.allocated == 0) {
         // Whole block free again: coalesce.
         brokenBlocks_.erase(it);
@@ -111,68 +95,6 @@ FrameAllocator::freeBase(Pfn pfn)
     } else {
         block.freeList.push_back(pfn);
     }
-}
-
-bool
-FrameAllocator::retireBlock(Pfn base)
-{
-    if (!owns(base) || base % kSubpagesPerHuge != 0 ||
-        retiredBlocks_.count(base) != 0) {
-        return false;
-    }
-    retiredBlocks_.insert(base);
-    // A free whole block retires immediately.
-    auto free_it =
-        std::find(freeHugeBlocks_.begin(), freeHugeBlocks_.end(), base);
-    if (free_it != freeHugeBlocks_.end()) {
-        freeHugeBlocks_.erase(free_it);
-        retiredFrames_ += kSubpagesPerHuge;
-        return true;
-    }
-    // A broken block's free frames retire now; allocated frames
-    // drain through freeBase().  An empty free list also keeps
-    // allocBase() from ever handing the block out again.
-    auto broken_it = brokenBlocks_.find(base);
-    if (broken_it != brokenBlocks_.end()) {
-        BrokenBlock &block = broken_it->second;
-        retiredFrames_ += block.freeList.size();
-        block.freeList.clear();
-        TSTAT_ASSERT(block.allocated > 0,
-                     "retireBlock: empty broken block");
-        return true;
-    }
-    // Whole-allocated huge block: drains through freeHuge().
-    return true;
-}
-
-bool
-FrameAllocator::blockRetired(Pfn pfn) const
-{
-    return retiredBlocks_.count(pfn - (pfn % kSubpagesPerHuge)) != 0;
-}
-
-std::vector<Pfn>
-FrameAllocator::allocatedBlockBases() const
-{
-    std::vector<Pfn> bases;
-    const std::uint64_t blocks = frameCount_ / kSubpagesPerHuge;
-    for (std::uint64_t i = 0; i < blocks; ++i) {
-        const Pfn base = basePfn_ + i * kSubpagesPerHuge;
-        if (retiredBlocks_.count(base) != 0) {
-            continue;
-        }
-        if (brokenBlocks_.count(base) != 0) {
-            bases.push_back(base);
-            continue;
-        }
-        if (std::find(freeHugeBlocks_.begin(), freeHugeBlocks_.end(),
-                      base) == freeHugeBlocks_.end()) {
-            // Not free, not broken, not retired: a whole huge
-            // allocation.
-            bases.push_back(base);
-        }
-    }
-    return bases;
 }
 
 void
@@ -208,18 +130,17 @@ FrameAllocator::owns(Pfn pfn) const
 std::uint64_t
 FrameAllocator::freeFrames() const
 {
-    return frameCount_ - allocatedFrames_ - retiredFrames_;
+    return frameCount_ - allocatedFrames_;
 }
 
 double
 FrameAllocator::utilization() const
 {
-    const std::uint64_t usable = frameCount_ - retiredFrames_;
-    if (usable == 0) {
-        return frameCount_ == 0 ? 0.0 : 1.0;
+    if (frameCount_ == 0) {
+        return 0.0;
     }
     return static_cast<double>(allocatedFrames_) /
-           static_cast<double>(usable);
+           static_cast<double>(frameCount_);
 }
 
 } // namespace thermostat

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.hh"
@@ -64,30 +63,6 @@ class FrameAllocator
      */
     bool reformAllocatedHuge(Pfn base);
 
-    /**
-     * Permanently retire a 2MB block (device wear-out).  Free frames
-     * leave service immediately; frames still allocated keep working
-     * until freed, at which point they retire instead of returning
-     * to a free list.  Retirement is irreversible.
-     * @return false when @p base is not a block base of this
-     *         allocator or the block is already retired.
-     */
-    bool retireBlock(Pfn base);
-
-    /** Whether the 2MB block containing @p pfn has been retired. */
-    bool blockRetired(Pfn pfn) const;
-
-    /** 4KB frames permanently removed from service so far (frames
-     *  of retired blocks still awaiting free are not yet counted:
-     *  allocated + free + retired == frameCount at all times). */
-    std::uint64_t retiredFrames() const { return retiredFrames_; }
-
-    /**
-     * Block bases that are allocated (whole or broken) and not yet
-     * retired -- the candidate set for wear-driven retirement.
-     */
-    std::vector<Pfn> allocatedBlockBases() const;
-
     Pfn basePfn() const { return basePfn_; }
     std::uint64_t frameCount() const { return frameCount_; }
 
@@ -118,14 +93,9 @@ class FrameAllocator
     std::vector<Pfn> freeHugeBlocks_;
 
     /** Blocks currently broken into 4KB frames, by block base PFN. */
-    // Touched only when a wear-retirement fault fires, never on the
+    // Touched only by 4KB allocation and free, never on the
     // per-access path.  lint:allow(hot-path-unordered-map)
     std::unordered_map<Pfn, BrokenBlock> brokenBlocks_;
-
-    /** Bases of retired blocks (including pending drains). */
-    std::unordered_set<Pfn> retiredBlocks_;
-
-    std::uint64_t retiredFrames_ = 0;
 };
 
 } // namespace thermostat

@@ -1,11 +1,8 @@
 #include "mem/tiered_memory.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
-#include "fault/fault_injector.hh"
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
 
 namespace thermostat
@@ -71,19 +68,6 @@ MemoryTier::recordWear(Pfn pfn, Count writes)
     Count &w = frameWear_[pfn];
     w += writes;
     maxFrameWear_ = std::max(maxFrameWear_, w);
-}
-
-Count
-MemoryTier::blockWear(Pfn base) const
-{
-    Count wear = 0;
-    for (unsigned i = 0; i < kSubpagesPerHuge; ++i) {
-        const auto it = frameWear_.find(base + i);
-        if (it != frameWear_.end()) {
-            wear += it->value;
-        }
-    }
-    return wear;
 }
 
 bool
@@ -163,80 +147,6 @@ TieredMemory::costRelativeToAllFast() const
 }
 
 void
-TieredMemory::advanceFaultState(Ns now)
-{
-    if (faults_ == nullptr) {
-        return;
-    }
-
-    // Latency-spike episode: excess per slow line access, scaled
-    // from the device's read latency by the plan's severity factor.
-    const double latency_factor =
-        faults_->severity(FaultSite::SlowLatency, now);
-    slowFaultExcess_ = static_cast<Ns>(std::llround(
-        (latency_factor - 1.0) *
-        static_cast<double>(slowTier_.config().readLatency)));
-
-    // Bandwidth degradation: migration copies divide their
-    // bandwidth by this factor for the epoch.
-    slowCopySlowdown_ =
-        faults_->severity(FaultSite::SlowBandwidth, now);
-
-    slowHealthy_ = !faults_->windowActive(FaultSite::SlowLatency, now) &&
-                   !faults_->windowActive(FaultSite::SlowBandwidth, now) &&
-                   !faults_->shouldFail(FaultSite::SlowLatency, now) &&
-                   !faults_->shouldFail(FaultSite::SlowBandwidth, now);
-
-    const Count retire =
-        faults_->takeScheduled(FaultSite::WearRetire, now);
-    if (retire > 0) {
-        retireWornSlowBlocks(retire, now);
-    }
-}
-
-void
-TieredMemory::retireWornSlowBlocks(Count count, Ns now)
-{
-    // Victims: the most-worn live blocks (the device retires what
-    // it has written most), ties broken by address for determinism.
-    std::vector<Pfn> candidates =
-        slowTier_.allocator().allocatedBlockBases();
-    std::sort(candidates.begin(), candidates.end(),
-              [this](Pfn a, Pfn b) {
-                  const Count wa = slowTier_.blockWear(a);
-                  const Count wb = slowTier_.blockWear(b);
-                  if (wa != wb) {
-                      return wa > wb;
-                  }
-                  return a < b;
-              });
-    Count retired = 0;
-    for (const Pfn base : candidates) {
-        if (retired >= count) {
-            break;
-        }
-        if (!slowTier_.allocator().retireBlock(base)) {
-            continue;
-        }
-        ++retired;
-        evacuations_.push_back(base);
-        if (tracer_ != nullptr) {
-            tracer_->record(EventKind::FrameRetired, now,
-                            static_cast<Addr>(base), true,
-                            kSubpagesPerHuge);
-        }
-    }
-}
-
-std::vector<Pfn>
-TieredMemory::takeEvacuations()
-{
-    std::vector<Pfn> out;
-    out.swap(evacuations_);
-    return out;
-}
-
-void
 MemoryTier::registerMetrics(MetricRegistry &registry,
                             const std::string &prefix) const
 {
@@ -275,9 +185,6 @@ MemoryTier::registerMetrics(MetricRegistry &registry,
     });
     registry.addCallback(prefix + ".max_frame_wear", [this] {
         return static_cast<double>(maxFrameWear());
-    });
-    registry.addCallback(prefix + ".retired_frames", [this] {
-        return static_cast<double>(allocator_.retiredFrames());
     });
 }
 

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/flat_map.hh"
 #include "common/logging.hh"
@@ -25,8 +24,6 @@
 namespace thermostat
 {
 
-class EventTracer;
-class FaultInjector;
 class MetricRegistry;
 
 /** Per-tier runtime statistics. */
@@ -102,9 +99,6 @@ class MemoryTier
 
     /** Maximum line-writes recorded against any single 4KB frame. */
     Count maxFrameWear() const { return maxFrameWear_; }
-
-    /** Wear accumulated against one 2MB block (sum over frames). */
-    Count blockWear(Pfn base) const;
 
     /** Total line-writes across the tier. */
     Count totalWear() const { return totalWear_; }
@@ -225,49 +219,7 @@ class TieredMemory
      */
     double costRelativeToAllFast() const;
 
-    // ----- fault injection (src/fault) -------------------------------
-    //
-    // All of this is inert unless an injector is attached: the
-    // default state reads as "healthy, no latency excess, no
-    // retirements", and no fault-path code runs, so fault-free runs
-    // stay byte-identical.
-
-    void setFaultInjector(FaultInjector *injector)
-    {
-        faults_ = injector;
-    }
-    bool hasFaultInjector() const { return faults_ != nullptr; }
-    void setTracer(EventTracer *tracer) { tracer_ = tracer; }
-
-    /**
-     * Advance epoch-granularity device fault state: latches the
-     * slow tier's latency-spike excess and copy-bandwidth slowdown
-     * for the coming epoch and fires pending wear-retirement events
-     * (blocks chosen by recorded wear, worn-most first).  Called by
-     * the simulation once per epoch when faults are enabled.
-     */
-    void advanceFaultState(Ns now);
-
-    /** False while the slow tier is in a degradation episode. */
-    bool slowHealthy() const { return slowHealthy_; }
-
-    /** Migration-copy bandwidth divisor (1.0 when healthy). */
-    double slowCopySlowdown() const { return slowCopySlowdown_; }
-
-    /** Extra per-line latency of the degraded slow device. */
-    Ns slowFaultExcess() const { return slowFaultExcess_; }
-
-    /**
-     * Base PFNs of slow-tier blocks retired since the last call.
-     * The engine must evacuate (re-promote) any pages still mapped
-     * there.
-     */
-    std::vector<Pfn> takeEvacuations();
-
   private:
-    /** Wear-retire @p count slow-tier blocks, worn-most first. */
-    void retireWornSlowBlocks(Count count, Ns now);
-
     std::uint64_t &
     shadowBytes(Tier t)
     {
@@ -279,13 +231,6 @@ class TieredMemory
     Pfn slowBasePfn_;
     std::uint64_t fastShadowBytes_ = 0;
     std::uint64_t slowShadowBytes_ = 0;
-
-    FaultInjector *faults_ = nullptr;
-    EventTracer *tracer_ = nullptr;
-    bool slowHealthy_ = true;
-    double slowCopySlowdown_ = 1.0;
-    Ns slowFaultExcess_ = 0;
-    std::vector<Pfn> evacuations_;
 };
 
 } // namespace thermostat

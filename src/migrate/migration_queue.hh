@@ -110,7 +110,8 @@ struct QueueCompletion
     Tier target = Tier::Slow;
     std::uint64_t bytes = 0; //!< leaf size
     bool moved = false;
-    bool aborted = false; //!< transactional rollback (torn/dirty)
+    bool aborted = false; //!< transactional rollback (dirty, or
+                          //!< no room for the shadow copy)
 };
 
 /**

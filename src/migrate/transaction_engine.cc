@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "fault/fault_injector.hh"
 #include "obs/event_trace.hh"
 #include "obs/metrics.hh"
 
@@ -20,13 +19,10 @@ Ns
 TransactionEngine::shadowCopyCost(std::uint64_t bytes) const
 {
     // Same cost model as PageMigrator::copyCost: the shadow copy
-    // rides the identical inter-tier link, including any injected
-    // bandwidth degradation.
-    const double slowdown =
-        faults_ != nullptr ? space_.memory().slowCopySlowdown() : 1.0;
+    // rides the identical inter-tier link.
     const MigrationConfig &config = migrator_.config();
-    const double sec = slowdown * static_cast<double>(bytes) /
-                       config.copyBandwidthBytesPerSec;
+    const double sec =
+        static_cast<double>(bytes) / config.copyBandwidthBytesPerSec;
     return config.perPageSwCost +
            static_cast<Ns>(std::llround(sec * kNsPerSec));
 }
@@ -62,35 +58,6 @@ TransactionEngine::begin(Addr base, bool huge, Tier target, Ns now,
         return false; // target tier full; caller treats as refusal
     }
     const Pfn shadow = *alloc;
-
-    // Torn shadow copy: half the page landed before the device gave
-    // up.  Same rollback as the migrator's torn path -- the wasted
-    // wear sticks, the frames go back, the transaction never opens.
-    if (faults_ != nullptr &&
-        faults_->shouldFail(FaultSite::MigrationCopy, now)) {
-        const std::uint64_t copied = bytes / 2;
-        const unsigned frames_written =
-            huge ? kSubpagesPerHuge / 2 : 1u;
-        const Count lines =
-            huge ? line_writes_per_frame
-                 : static_cast<Count>(copied / 64);
-        for (unsigned i = 0; i < frames_written; ++i) {
-            memory.tier(target).recordWear(shadow + i, lines);
-        }
-        if (huge) {
-            memory.freeHuge(shadow);
-        } else {
-            memory.freeBase(shadow);
-        }
-        ++stats_.aborts;
-        ++stats_.tornAborts;
-        *cost += shadowCopyCost(copied);
-        if (tracer_) {
-            tracer_->record(EventKind::TransactionAborted, now, base,
-                            huge, copied);
-        }
-        return false;
-    }
 
     // Full shadow copy: wear on every shadow frame, copy time
     // charged.  Deliberately *not* tier migration traffic -- the
@@ -285,9 +252,6 @@ TransactionEngine::registerMetrics(MetricRegistry &registry,
     });
     registry.addCallback(prefix + ".aborts", [this] {
         return static_cast<double>(stats_.aborts);
-    });
-    registry.addCallback(prefix + ".torn_aborts", [this] {
-        return static_cast<double>(stats_.tornAborts);
     });
     registry.addCallback(prefix + ".dirty_aborts", [this] {
         return static_cast<double>(stats_.dirtyAborts);

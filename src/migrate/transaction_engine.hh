@@ -9,8 +9,7 @@
  * epoch, then revalidates that no write dirtied the source
  * (dirty-revalidation) before committing the move.  A dirty page
  * aborts: the shadow frame is discarded and only the wasted copy
- * wear sticks -- exactly the rollback shape the fault injector's
- * torn-copy site already models for the one-shot migrator.
+ * wear sticks.
  *
  * The engine owns the shadow ledger: every open transaction and
  * every retained read-replica is one entry, and the per-tier ledger
@@ -44,7 +43,6 @@ namespace thermostat
 {
 
 class EventTracer;
-class FaultInjector;
 class MetricRegistry;
 
 /** Transactional-migration accounting. */
@@ -52,8 +50,7 @@ struct TransactionStats
 {
     Count begins = 0;        //!< shadow copies started
     Count commits = 0;       //!< clean revalidations that moved
-    Count aborts = 0;        //!< all rollbacks (torn + dirty)
-    Count tornAborts = 0;    //!< shadow copy torn by the injector
+    Count aborts = 0;        //!< all rollbacks
     Count dirtyAborts = 0;   //!< revalidation saw a write
     Count commitFailures = 0; //!< clean but the migrator refused
     Count replicasRetained = 0; //!< read-mostly copies kept
@@ -76,13 +73,6 @@ class TransactionEngine
 
     void setTracer(EventTracer *tracer) { tracer_ = tracer; }
 
-    /**
-     * Attach the fault injector: shadow copies then tear at the
-     * MigrationCopy site (same site, independent draws from the
-     * shared per-site stream) and abort at start.
-     */
-    void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
-
     /** Opt in (nomad does this in its constructor). */
     void activate() { active_ = true; }
     bool active() const { return active_; }
@@ -91,8 +81,8 @@ class TransactionEngine
      * Phase 1 -- shadow-copy start.  Allocates shadow frame(s) for
      * the leaf at @p base in @p target, pays the copy (wear + cost
      * into @p cost) and opens a ledger entry: the page is now
-     * resident in both tiers.  Returns false when the copy tears
-     * (torn abort, half wear billed) or the target tier is full.
+     * resident in both tiers.  Returns false when the target tier
+     * is full.
      */
     bool begin(Addr base, bool huge, Tier target, Ns now, Ns *cost);
 
@@ -165,7 +155,6 @@ class TransactionEngine
     AddressSpace &space_;           // shard: serial-only
     PageMigrator &migrator_;        // shard: serial-only
     EventTracer *tracer_ = nullptr; // shard: serial-only
-    FaultInjector *faults_ = nullptr; // shard: serial-only
     bool active_ = false;           // shard: serial-only
     FlatMap<Addr, ShadowEntry> ledger_; // shard: serial-only
     TransactionStats stats_;        // shard: serial-only

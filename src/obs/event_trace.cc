@@ -42,16 +42,6 @@ eventKindName(EventKind kind)
         return "migration_failed";
       case EventKind::MigrationThrottled:
         return "migration_throttled";
-      case EventKind::MigrationRetried:
-        return "migration_retried";
-      case EventKind::MigrationAborted:
-        return "migration_aborted";
-      case EventKind::FrameRetired:
-        return "frame_retired";
-      case EventKind::PageQuarantined:
-        return "quarantined";
-      case EventKind::PageUnquarantined:
-        return "unquarantined";
       case EventKind::PolicyDemote:
         return "policy_demote";
       case EventKind::PolicyPromote:
@@ -96,19 +86,13 @@ eventCategory(EventKind kind)
       case EventKind::MigrationThrottled:
       case EventKind::TransactionStarted:
       case EventKind::TransactionCommitted:
+      case EventKind::TransactionAborted:
       case EventKind::ReplicaRetained:
       case EventKind::ReplicaDropped:
       case EventKind::QueueRejected:
         return kEvMigrate;
       case EventKind::Corrected:
         return kEvCorrect;
-      case EventKind::MigrationRetried:
-      case EventKind::MigrationAborted:
-      case EventKind::TransactionAborted:
-      case EventKind::FrameRetired:
-      case EventKind::PageQuarantined:
-      case EventKind::PageUnquarantined:
-        return kEvFault;
       case EventKind::PolicyDemote:
       case EventKind::PolicyPromote:
         return kEvPolicy;
@@ -137,8 +121,6 @@ categoryName(EventCategory cat)
         return "correct";
       case kEvPhase:
         return "phase";
-      case kEvFault:
-        return "fault";
       case kEvPolicy:
         return "policy";
       default:
@@ -175,8 +157,6 @@ parseEventMask(const std::string &spec, std::uint32_t *mask_out)
             mask |= kEvCorrect;
         } else if (token == "phase") {
             mask |= kEvPhase;
-        } else if (token == "fault") {
-            mask |= kEvFault;
         } else if (token == "policy") {
             mask |= kEvPolicy;
         } else if (!token.empty()) {

@@ -55,22 +55,16 @@ enum class EventKind : std::uint8_t
     MigrationFailed, //!< target tier full
     MigrationThrottled, //!< host arbiter denied admission
                         //!< (value = bytes not moved)
-    MigrationRetried, //!< migration attempt failed, retrying
-                      //!< (value = attempt number)
-    MigrationAborted, //!< copy torn mid-migration and rolled back
-                      //!< (value = bytes copied then discarded)
-    FrameRetired,    //!< wear-retired slow-tier block
-                     //!< (addr = frame base pfn, value = frames)
-    PageQuarantined, //!< demotion kept failing; page benched
-    PageUnquarantined, //!< quarantine expired, page eligible again
-    PolicyDemote,   //!< tiering policy ordered a demotion
+    // Explicit so that every kind from here on keeps its number
+    // (14-18 are unused): the golden lifecycle digests hash each
+    // event's numeric kind.
+    PolicyDemote = 19, //!< tiering policy ordered a demotion
     PolicyPromote,  //!< tiering policy ordered a promotion
     TransactionStarted,   //!< shadow copy opened; page resident in
                           //!< both tiers (value = bytes)
     TransactionCommitted, //!< revalidation clean, move landed
                           //!< (value = bytes)
-    TransactionAborted,   //!< torn shadow copy or dirty
-                          //!< revalidation; rolled back
+    TransactionAborted,   //!< dirty revalidation; rolled back
                           //!< (value = bytes discarded)
     ReplicaRetained, //!< slow-tier copy kept after a clean
                      //!< promotion commit (value = bytes)
@@ -89,11 +83,10 @@ enum EventCategory : std::uint32_t
     kEvClassify = 1u << 2, //!< Classified*, PageCollapsed,
                            //!< CollapseFailed
     kEvMigrate = 1u << 3,  //!< PageDemoted/Promoted, PageSpread,
-                           //!< MigrationFailed
+                           //!< Migration*, Transaction*, Replica*,
+                           //!< QueueRejected
     kEvCorrect = 1u << 4,  //!< Corrected
     kEvPhase = 1u << 5,    //!< Phase
-    kEvFault = 1u << 6,    //!< MigrationRetried/Aborted, FrameRetired,
-                           //!< PageQuarantined/Unquarantined
     kEvPolicy = 1u << 7,   //!< PolicyDemote, PolicyPromote
     kEvAll = 0xffffffffu
 };

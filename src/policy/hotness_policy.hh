@@ -8,9 +8,9 @@
  * first, at most promoteBatch per period, mirroring Nomad's bounded
  * transactional promotion batches -- and (ii) refills the
  * coldFraction budget with the pages that saw no traffic at all this
- * window.  Migrations ride the shared PageMigrator, so under fault
- * injection a torn copy rolls back transactionally (the PR 3 path)
- * and the page simply stays where it was until the next window.
+ * window.  Migrations ride the shared PageMigrator, so a move the
+ * target tier cannot hold leaves the page where it was until the
+ * next window.
  */
 
 #ifndef THERMOSTAT_POLICY_HOTNESS_POLICY_HH

@@ -62,111 +62,12 @@ ThermostatPolicy::accrueOverhead()
     seenTrapMaintenance_ = trap_cost;
 }
 
-bool
-ThermostatPolicy::faultAware()
-{
-    return space().memory().hasFaultInjector();
-}
-
-bool
-ThermostatPolicy::isQuarantined(Addr base, Ns now)
-{
-    const auto it = quarantineUntil_.find(base);
-    if (it == quarantineUntil_.end()) {
-        return false;
-    }
-    if (now < it->second) {
-        return true;
-    }
-    // Lazy expiry: the page becomes placeable again.
-    quarantineUntil_.erase(it);
-    ++engineStats_.unquarantined;
-    if (tracer()) {
-        tracer()->record(EventKind::PageUnquarantined, now, base);
-    }
-    return false;
-}
-
-void
-ThermostatPolicy::noteDemotionOutcome(Addr base, bool moved, Ns now)
-{
-    if (moved) {
-        demotionFailures_.erase(base);
-        return;
-    }
-    const Count fails = ++demotionFailures_[base];
-    if (fails < cgroup().params().quarantineThreshold) {
-        return;
-    }
-    // Repeated failures: bench the page instead of burning
-    // migration bandwidth on it every period.
-    demotionFailures_.erase(base);
-    quarantineUntil_[base] =
-        now + cgroup().params().quarantineDuration;
-    ++engineStats_.quarantined;
-    if (tracer()) {
-        tracer()->record(EventKind::PageQuarantined, now, base);
-    }
-}
-
-void
-ThermostatPolicy::processEvacuations(Ns now)
-{
-    {
-        std::vector<Pfn> fresh = space().memory().takeEvacuations();
-        evacuationBacklog_.insert(evacuationBacklog_.end(),
-                                  fresh.begin(), fresh.end());
-    }
-    if (evacuationBacklog_.empty()) {
-        return;
-    }
-
-    std::unordered_set<Pfn> retired(evacuationBacklog_.begin(),
-                                    evacuationBacklog_.end());
-    const auto blockOf = [](Pfn pfn) {
-        return pfn - (pfn % kSubpagesPerHuge);
-    };
-
-    // Cold pages mapped into retired blocks must come back to the
-    // fast tier; sorted for a deterministic migration order (the
-    // cold sets are hash sets).
-    std::vector<std::pair<Addr, bool>> victims; // (base, huge)
-    for (const auto *placed : {&placedHuge_, &placedBase_}) {
-        for (const Addr base : *placed) {
-            const WalkResult wr = space().pageTable().walk(base);
-            if (wr.mapped() &&
-                retired.count(blockOf(wr.pte->pfn()))) {
-                victims.emplace_back(base, placed == &placedHuge_);
-            }
-        }
-    }
-    std::sort(victims.begin(), victims.end());
-
-    bool any_failed = false;
-    for (const auto &[base, huge] : victims) {
-        if (!movePage(base, huge, Tier::Fast, now, false)) {
-            // Fast tier full (or still failing): keep the block in
-            // the backlog and try again next tick.
-            any_failed = true;
-            continue;
-        }
-        ++engineStats_.evacuationPromotions;
-        ++stats_.promotionsOrdered;
-    }
-    if (!any_failed) {
-        evacuationBacklog_.clear();
-    }
-}
-
 void
 ThermostatPolicy::tick(Ns now)
 {
     ++stats_.ticks;
     if (tracer()) {
         tracer()->setSimTime(now);
-    }
-    if (faultAware()) {
-        processEvacuations(now);
     }
     while (now >= nextStageTime_) {
         switch (nextStage_) {
@@ -312,25 +213,11 @@ void
 ThermostatPolicy::applyClassification(const Classification &classes,
                                       Ns now)
 {
-    // Graceful degradation: while the slow tier is in a fault
-    // episode, stop feeding it new cold pages for this period (the
-    // resident cold set and the corrector keep running).
-    const bool fault_aware = faultAware();
-    bool throttled = false;
-    if (fault_aware && !classes.cold.empty() &&
-        !space().memory().slowHealthy()) {
-        throttled = true;
-        ++engineStats_.throttledPeriods;
-    }
     for (const PageRate &page : classes.cold) {
         const bool huge = page.bytes == kPageSize2M;
         if (tracer()) {
             tracer()->record(EventKind::ClassifiedCold, now, page.base,
                              huge);
-        }
-        if (throttled ||
-            (fault_aware && isQuarantined(page.base, now))) {
-            continue;
         }
         if (huge) {
             const bool collapsed = space().collapseHuge(page.base);
@@ -348,12 +235,7 @@ ThermostatPolicy::applyClassification(const Classification &classes,
         }
         // The cold page stays poisoned: its fault counts feed the
         // mis-classification corrector.
-        const bool moved =
-            movePage(page.base, huge, Tier::Slow, now, false);
-        if (fault_aware) {
-            noteDemotionOutcome(page.base, moved, now);
-        }
-        if (!moved) {
+        if (!movePage(page.base, huge, Tier::Slow, now, false)) {
             continue;
         }
         ++(huge ? engineStats_.coldHugePlaced
@@ -512,11 +394,6 @@ ThermostatPolicy::registerMetrics(MetricRegistry &registry)
     registry.addCallback("engine.measured_slow_rate", [this] {
         return slowRateSeries_.lastValue();
     });
-    count("engine.quarantined", &engineStats_.quarantined);
-    count("engine.unquarantined", &engineStats_.unquarantined);
-    count("engine.throttled_periods", &engineStats_.throttledPeriods);
-    count("engine.evacuation_promotions",
-          &engineStats_.evacuationPromotions);
     TieringPolicy::registerMetrics(registry);
 }
 

@@ -47,8 +47,8 @@ namespace thermostat
  * Engine-specific counters.  Periods, migration failures and the
  * overhead are the generic PolicyStats decisionPeriods,
  * placementFailures and overheadTime; coldHugePlaced +
- * coldBasePlaced is demotionsOrdered and promotions +
- * evacuationPromotions is promotionsOrdered.
+ * coldBasePlaced is demotionsOrdered and promotions is
+ * promotionsOrdered.
  */
 struct EngineStats
 {
@@ -58,15 +58,6 @@ struct EngineStats
     Count spreadSubpagesDemoted = 0;
     Count promotions = 0;
     Count collapseFailures = 0;
-
-    // Graceful-degradation counters (zero without fault injection).
-    Count quarantined = 0;        //!< pages benched after repeated
-                                  //!< demotion failures
-    Count unquarantined = 0;      //!< quarantines expired
-    Count throttledPeriods = 0;   //!< classify periods that skipped
-                                  //!< placement (slow tier unhealthy)
-    Count evacuationPromotions = 0; //!< pages pulled off retired
-                                    //!< slow-tier blocks
 };
 
 /**
@@ -121,12 +112,6 @@ class ThermostatPolicy : public TieringPolicy
 
     const EngineStats &engineStats() const { return engineStats_; }
 
-    /** Pages currently benched after repeated demotion failures. */
-    std::size_t quarantinedPages() const
-    {
-        return quarantineUntil_.size();
-    }
-
   private:
     enum class Stage { Split, Poison, Classify };
 
@@ -138,14 +123,6 @@ class ThermostatPolicy : public TieringPolicy
     bool trySpreadHotPage(const SampledPage &page, Ns now);
     void runCorrection(Ns now);
     void accrueOverhead();
-
-    // Graceful degradation (no-ops unless the memory system has a
-    // fault injector attached; see the byte-identical rule in
-    // DESIGN.md).
-    bool faultAware();
-    bool isQuarantined(Addr base, Ns now);
-    void noteDemotionOutcome(Addr base, bool moved, Ns now);
-    void processEvacuations(Ns now);
 
     Rng rng_;
     Sampler sampler_;
@@ -160,13 +137,6 @@ class ThermostatPolicy : public TieringPolicy
     std::unordered_set<Addr> profilingRanges_;
     std::vector<SampledPage> profiled_;
     std::unordered_map<Addr, const SampledPage *> profiledByBase_;
-
-    /** Consecutive demotion failures per page (fault-aware mode). */
-    std::unordered_map<Addr, Count> demotionFailures_;
-    /** Benched pages and when their quarantine expires. */
-    std::unordered_map<Addr, Ns> quarantineUntil_;
-    /** Retired slow-tier blocks still awaiting evacuation. */
-    std::vector<Pfn> evacuationBacklog_;
 
     TimeSeries slowRateSeries_{"slow_mem_access_rate"};
     EngineStats engineStats_;

@@ -134,10 +134,8 @@ Machine::access(Addr vaddr, AccessType type, Count weight,
             // translation (the paper's noted under-estimate).
             ? fast_cost
             // Fast-equivalent part overlaps; the latency excess of
-            // the slow device is serialized.  slowFaultExcess() is
-            // zero except during an injected degradation episode.
-            : fast_cost + costs_.slowExcess[write] +
-                  memory_.slowFaultExcess();
+            // the slow device is serialized.
+            : fast_cost + costs_.slowExcess[write];
 
     out.actualLatency += costs_.llcHit * lines;
     out.baselineLatency += costs_.llcHit * lines;

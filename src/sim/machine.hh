@@ -227,9 +227,8 @@ class Machine
      * Flush the per-lane deferred device accounting (tier traffic
      * and frame wear) into the TieredMemory model, in lane order.
      * The access path only appends lane-locally; anything that reads
-     * device state (fault advancement, migration picks, stats dumps)
-     * must run behind this barrier.  Idempotent and cheap when
-     * nothing is pending.
+     * device state (migration picks, stats dumps) must run behind
+     * this barrier.  Idempotent and cheap when nothing is pending.
      */
     void syncDeviceState();
 

@@ -441,9 +441,8 @@ flightColumns()
     return {"slowdown",      "actual_ns",  "baseline_ns",
             "overhead_ns",   "slow_accesses", "demote_bytes",
             "promote_bytes", "demotions",  "promotions",
-            "migration_retries", "copy_aborts", "wear_writes",
-            "trap_faults",   "cold_bytes", "rss_bytes",
-            "sampled",       "sampled_slow",
+            "wear_writes",   "trap_faults", "cold_bytes",
+            "rss_bytes",     "sampled",    "sampled_slow",
             "queue_depth",   "queue_issued_bytes"};
 }
 
@@ -455,12 +454,6 @@ Simulation::Simulation(std::unique_ptr<Workload> workload,
                        ThreadPool *shared_pool)
     : config_(config),
       workload_(std::move(workload)),
-      faults_(config.faultPlan.enabled()
-                  ? std::make_unique<FaultInjector>(
-                        config.faultPlan,
-                        // rng: fault-injector stream
-                        config.seed ^ 0xfa017ab1eULL)
-                  : nullptr),
       machine_(config.machine),
       kstaled_(machine_.space(), machine_.tlb()),
       khugepaged_(machine_.space(), machine_.tlb()),
@@ -535,16 +528,6 @@ Simulation::Simulation(std::unique_ptr<Workload> workload,
     migrator_.setProfiler(&profiler_);
     kstaled_.setProfiler(&profiler_);
     khugepaged_.setProfiler(&profiler_);
-
-    // Fault injection: attached only when a plan is configured, so
-    // fault-free runs execute exactly the pre-fault code paths.
-    if (faults_ != nullptr) {
-        machine_.memory().setFaultInjector(faults_.get());
-        machine_.memory().setTracer(&tracer_);
-        migrator_.setFaultInjector(faults_.get());
-        transactions_.setFaultInjector(faults_.get());
-        faults_->registerMetrics(metrics_, "faults");
-    }
 }
 
 ThermostatPolicy &
@@ -567,8 +550,6 @@ Simulation::epochBase()
     base.bytesPromoted = mig.bytesPromoted;
     base.demotionsOrdered = mig.hugeDemotions + mig.baseDemotions;
     base.promotionsOrdered = mig.hugePromotions + mig.basePromotions;
-    base.retries = mig.retries;
-    base.copyAborts = mig.copyAborts;
     base.slowWear = machine_.memory().slow().totalWear();
     base.weightedFaults = machine_.trap().stats().weightedFaults;
     if (sampler_ != nullptr) {
@@ -606,8 +587,6 @@ Simulation::recordEpoch(Ns at, const EpochBase &base, Ns actual,
          delta(now.bytesPromoted, base.bytesPromoted),
          delta(now.demotionsOrdered, base.demotionsOrdered),
          delta(now.promotionsOrdered, base.promotionsOrdered),
-         delta(now.retries, base.retries),
-         delta(now.copyAborts, base.copyAborts),
          delta(now.slowWear, base.slowWear),
          delta(now.weightedFaults, base.weightedFaults),
          static_cast<double>(policy_->coldBytes()),
@@ -809,12 +788,6 @@ Simulation::stepEpoch()
     const Ns rec_time = recording ? now - warmup : 0;
     const EpochBase epoch_base = epochBase();
     tracer_.setSimTime(now);
-    if (faults_ != nullptr) {
-        // Latch the slow tier's degradation state for this
-        // epoch and fire any pending wear retirements (the
-        // engine tick below evacuates retired blocks).
-        machine_.memory().advanceFaultState(now);
-    }
     {
         PhaseScope scope(&profiler_, "workload_advance", &tracer_);
         workload_->advance(now, machine_.space());
@@ -853,8 +826,8 @@ Simulation::stepEpoch()
     runEpochStreams(epoch_actual, epoch_baseline);
 
     // Flush the lanes' deferred device accounting before
-    // anything below (flight rows, fault advancement, the next
-    // policy tick) reads the device model.
+    // anything below (flight rows, the next policy tick) reads the
+    // device model.
     machine_.syncDeviceState();
     const Count slow_accesses = machine_.takeSlowAccessCount();
     run_.now = now + config_.epoch;

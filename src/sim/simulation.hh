@@ -23,7 +23,6 @@
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "common/stats.hh"
-#include "fault/fault_injector.hh"
 #include "migrate/migration_queue.hh"
 #include "migrate/transaction_engine.hh"
 #include "policy/thermostat_policy.hh"
@@ -124,13 +123,6 @@ struct SimConfig
      * lifecycle auditor always sees the full stream regardless.
      */
     std::uint32_t traceMask = kEvAll;
-
-    /**
-     * Fault-injection plan (see fault/fault_injector.hh for the
-     * spec grammar).  Default-empty: no injector is created and the
-     * run is byte-identical to a build without the fault subsystem.
-     */
-    FaultPlan faultPlan;
 
     /**
      * Sampled access telemetry (obs/access_sampler.hh).  On by
@@ -360,9 +352,6 @@ class Simulation
     /** Effective worker count after auto resolution. */
     unsigned shards() const { return shards_; }
 
-    /** Null unless the config's fault plan is non-empty. */
-    const FaultInjector *faultInjector() const { return faults_.get(); }
-
   private:
     void recordFootprint(SimResult &result, Ns now);
 
@@ -380,8 +369,6 @@ class Simulation
         std::uint64_t bytesPromoted = 0;
         Count demotionsOrdered = 0;
         Count promotionsOrdered = 0;
-        Count retries = 0;
-        Count copyAborts = 0;
         Count slowWear = 0;
         Count weightedFaults = 0;
         std::uint64_t sampled = 0;
@@ -423,7 +410,6 @@ class Simulation
 
     SimConfig config_;                      // shard: read-only
     std::unique_ptr<Workload> workload_;    // shard: serial-only
-    std::unique_ptr<FaultInjector> faults_; // shard: serial-only
     Machine machine_;    // shard: lane-local (internally sliced)
     Kstaled kstaled_;    // shard: serial-only
     Khugepaged khugepaged_; // shard: serial-only

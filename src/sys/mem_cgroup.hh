@@ -63,16 +63,6 @@ struct ThermostatParams
     unsigned spreadMaxHotSubpages = 64;
 
     /**
-     * Graceful-degradation knobs (only consulted when a fault
-     * injector is attached, see src/fault): a page whose demotion
-     * fails quarantineThreshold consecutive times is benched --
-     * ineligible for placement -- for quarantineDuration, instead
-     * of burning migration bandwidth on it every period.
-     */
-    Count quarantineThreshold = 3;
-    Ns quarantineDuration = 60 * kNsPerSec;
-
-    /**
      * Target aggregate access rate (accesses/sec) to slow memory:
      * x / (100 * ts).  3% and 1us give the paper's 30K accesses/sec.
      */

@@ -24,7 +24,6 @@
 namespace thermostat
 {
 
-class FaultInjector;
 class MetricRegistry;
 class Profiler;
 
@@ -36,17 +35,6 @@ struct MigrationConfig
 
     /** Copy bandwidth between tiers, bytes/sec. */
     double copyBandwidthBytesPerSec = 4.0e9;
-
-    /**
-     * Retry policy, exercised only when a fault injector is
-     * attached (real kernels retry migrate_pages() on transient
-     * failures too, but without faults the simulator never sees
-     * one): up to maxRetries retries after the first attempt, with
-     * capped exponential backoff between attempts.
-     */
-    unsigned maxRetries = 3;
-    Ns backoffBaseNs = 50'000;
-    Ns backoffCapNs = 1'000'000;
 };
 
 /** Aggregate migration accounting. */
@@ -64,13 +52,6 @@ struct MigrationStats
     // Host-arbiter accounting (zero without an admission gate).
     Count admissionDenials = 0;  //!< requests the arbiter refused
     std::uint64_t bytesDenied = 0; //!< bytes those requests carried
-
-    // Fault-path accounting (all zero without an injector).
-    Count retries = 0;           //!< retry attempts made
-    Count copyAborts = 0;        //!< copies torn and rolled back
-    Count injectedAllocFails = 0; //!< injected allocation pressure
-    std::uint64_t bytesAborted = 0; //!< copied then discarded
-    Ns backoffNs = 0;            //!< time spent backing off
 };
 
 /** Outcome of one migration request. */
@@ -93,7 +74,7 @@ struct MigrateResult
  * leaves the page where it is, costs nothing, and is visible to the
  * caller only as moved=false -- the same shape as a full target
  * tier, which every policy already handles.  Standalone runs never
- * attach one, so the fault-free single-tenant path is unchanged.
+ * attach one, so the single-tenant path is unchanged.
  */
 class MigrationAdmission
 {
@@ -134,21 +115,10 @@ class PageMigrator
 
     /**
      * Attach a lifecycle tracer: successful moves emit
-     * PageDemoted/PagePromoted (value = bytes), exhausted target
-     * tiers emit MigrationFailed, and the fault path emits
-     * MigrationRetried/MigrationAborted.
+     * PageDemoted/PagePromoted (value = bytes) and exhausted target
+     * tiers emit MigrationFailed.
      */
     void setTracer(EventTracer *tracer) { tracer_ = tracer; }
-
-    /**
-     * Attach a fault injector.  Arms the retry/backoff/rollback
-     * machinery: MigrationAlloc faults deny the destination frame,
-     * MigrationCopy faults tear the copy halfway (the half-written
-     * destination is discarded, wear included, and the page table
-     * is left untouched on the source).  Without an injector,
-     * migrate() is single-attempt, exactly the fault-free path.
-     */
-    void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
 
     /**
      * Attach the host-time phase profiler: each migrate() call runs
@@ -182,7 +152,7 @@ class PageMigrator
     double takePromotionRate(Ns now) { return promotionMeter_.takeWindowRate(now); }
 
   private:
-    Ns copyCost(std::uint64_t bytes, double slowdown = 1.0) const;
+    Ns copyCost(std::uint64_t bytes) const;
 
     AddressSpace &space_;
     TlbShards &tlb_;
@@ -190,7 +160,6 @@ class PageMigrator
     MigrationConfig config_;
     MigrationStats stats_;
     EventTracer *tracer_ = nullptr;
-    FaultInjector *faults_ = nullptr;
     Profiler *profiler_ = nullptr;
     MigrationAdmission *admission_ = nullptr;
     RateMeter demotionMeter_;  //!< records bytes, not pages

@@ -2,7 +2,7 @@
  * @file
  * Shared test harness: the small deterministic workloads, simulation
  * configs and filesystem helpers that the integration-level suites
- * (simulation, golden runs, invariants, degradation) would otherwise
+ * (simulation, golden runs, invariants, migration) would otherwise
  * each re-declare.
  *
  * Everything here is deliberately tiny: a 64MB footprint simulates a
@@ -44,6 +44,39 @@ halfColdWorkload()
     hot.burstLines = 4;
     hot.pattern = std::make_unique<UniformPattern>(32_MiB);
     w->addComponent(std::move(hot));
+    return w;
+}
+
+/**
+ * 64MB footprint with a moving, write-heavy working set: a read-only
+ * 16MB hot window that jumps 16MB every 5s, and a write-only 4MB
+ * window that jumps 4MB every 3s.  The reader makes nomad
+ * promote read-mostly pages with a retained replica; the writer
+ * later lands on those replicas (dropping them) and on pages whose
+ * demotion transaction is still open (aborting it).
+ */
+inline std::unique_ptr<ComposedWorkload>
+writeHeavyWorkload()
+{
+    auto w = std::make_unique<ComposedWorkload>(
+        "write-heavy", 200.0e3, 0.8, 300 * kNsPerSec);
+    w->addRegion({"data", 64_MiB, 0, true, false});
+    TrafficComponent reader;
+    reader.region = "data";
+    reader.weight = 0.3;
+    reader.writeFraction = 0.0;
+    reader.pattern = std::make_unique<PhaseShiftPattern>(
+        std::make_unique<UniformPattern>(16_MiB), 5 * kNsPerSec,
+        16_MiB, 64_MiB);
+    w->addComponent(std::move(reader));
+    TrafficComponent writer;
+    writer.region = "data";
+    writer.weight = 0.7;
+    writer.writeFraction = 1.0;
+    writer.pattern = std::make_unique<PhaseShiftPattern>(
+        std::make_unique<UniformPattern>(4_MiB), 3 * kNsPerSec,
+        4_MiB, 64_MiB);
+    w->addComponent(std::move(writer));
     return w;
 }
 

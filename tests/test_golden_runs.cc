@@ -8,10 +8,9 @@
  * sampler feedback), plus a nomad run whose streams span several
  * pipeline chunks.
  *
- * These runs never enable fault injection, so any diff against the
- * checked-in goldens means the simulator's fault-free behaviour
- * changed -- exactly the "bit-identical when disabled" claim this
- * suite exists to enforce.  To regenerate after an intentional
+ * Any diff against the checked-in goldens means the simulator's
+ * behaviour changed -- exactly what a change that claims to be
+ * behaviour-neutral must not do.  To regenerate after an intentional
  * change:
  *
  *     THERMOSTAT_REGOLDEN=1 ./build/tests/test_golden_runs
@@ -42,6 +41,7 @@ using test::halfColdWorkload;
 using test::slurpFile;
 using test::spillFile;
 using test::tinySimConfig;
+using test::writeHeavyWorkload;
 
 /**
  * Compare @p produced against the checked-in golden file, or rewrite
@@ -140,39 +140,6 @@ TEST(GoldenRuns, Fig11SlowdownTargetSweep)
                          result.demotionBytesPerSec);
     }
     checkGolden("fig11_slowdown.csv", csv);
-}
-
-/**
- * 64MB footprint with a moving, write-heavy working set: a read-only
- * 16MB hot window that jumps 16MB every 5s, and a write-only 4MB
- * window that jumps 4MB every 3s.  The reader makes nomad
- * promote read-mostly pages with a retained replica; the writer
- * later lands on those replicas (dropping them) and on pages whose
- * demotion transaction is still open (aborting it).
- */
-std::unique_ptr<ComposedWorkload>
-writeHeavyWorkload()
-{
-    auto w = std::make_unique<ComposedWorkload>(
-        "write-heavy", 200.0e3, 0.8, 300 * kNsPerSec);
-    w->addRegion({"data", 64_MiB, 0, true, false});
-    TrafficComponent reader;
-    reader.region = "data";
-    reader.weight = 0.3;
-    reader.writeFraction = 0.0;
-    reader.pattern = std::make_unique<PhaseShiftPattern>(
-        std::make_unique<UniformPattern>(16_MiB), 5 * kNsPerSec,
-        16_MiB, 64_MiB);
-    w->addComponent(std::move(reader));
-    TrafficComponent writer;
-    writer.region = "data";
-    writer.weight = 0.7;
-    writer.writeFraction = 1.0;
-    writer.pattern = std::make_unique<PhaseShiftPattern>(
-        std::make_unique<UniformPattern>(4_MiB), 3 * kNsPerSec,
-        4_MiB, 64_MiB);
-    w->addComponent(std::move(writer));
-    return w;
 }
 
 /**

@@ -71,9 +71,6 @@ matrixTenants()
         spec.coldFraction = 0.4;
         specs.push_back(spec);
     }
-    // Fault injection on one tenant keeps the fault RNG stream in
-    // the determinism contract too.
-    specs[2].faultPlan = "migration-copy:p=0.1";
     return specs;
 }
 

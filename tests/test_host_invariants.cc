@@ -1,8 +1,7 @@
 /**
  * @file
  * Multi-tenant host property tests: over many seeded consolidated
- * runs (with and without fault injection), the host's accounting
- * invariants must hold exactly:
+ * runs, the host's accounting invariants must hold exactly:
  *
  *  - Residency: the arbiter's per-tenant fast/slow ledger equals
  *    a ground-truth page-table scan after every epoch (the host
@@ -47,7 +46,7 @@ halfColdFactory()
 }
 
 std::vector<TenantSpec>
-threeTenants(bool with_faults)
+threeTenants()
 {
     std::vector<TenantSpec> specs;
     const char *const policies[] = {"thermostat", "lru-age",
@@ -59,12 +58,6 @@ threeTenants(bool with_faults)
         spec.policy = policies[i];
         spec.coldFraction = 0.4;
         specs.push_back(spec);
-    }
-    if (with_faults) {
-        // One tenant runs under fault injection: aborted copies
-        // and retired frames must not unbalance the ledger.
-        specs[1].faultPlan =
-            "migration-copy:p=0.2;wear-retire:at=10,count=2";
     }
     return specs;
 }
@@ -124,15 +117,12 @@ csvColumn(const std::string &csv, const std::string &column)
 }
 
 void
-checkRun(std::uint64_t seed, bool with_faults)
+checkRun(std::uint64_t seed)
 {
-    DatacenterHost host(threeTenants(with_faults),
-                        contendedHostConfig(seed),
+    DatacenterHost host(threeTenants(), contendedHostConfig(seed),
                         halfColdFactory());
     const HostResult hr = host.run();
-    const std::string where =
-        "seed=" + std::to_string(seed) +
-        (with_faults ? " (faulty)" : "");
+    const std::string where = "seed=" + std::to_string(seed);
 
     // Per-epoch ledger == scan held throughout (verifyLedger).
     EXPECT_EQ(hr.invariantViolations, 0u) << where;
@@ -187,24 +177,17 @@ checkRun(std::uint64_t seed, bool with_faults)
 
 TEST(HostInvariants, FiftySeededRunsHoldAllInvariants)
 {
-    // 50 seeded runs: 40 clean, 10 under fault injection.
-    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-        checkRun(seed, /*with_faults=*/false);
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        checkRun(seed);
         if (::testing::Test::HasFailure()) {
             return; // one seed's dump is enough
-        }
-    }
-    for (std::uint64_t seed = 41; seed <= 50; ++seed) {
-        checkRun(seed, /*with_faults=*/true);
-        if (::testing::Test::HasFailure()) {
-            return;
         }
     }
 }
 
 TEST(HostInvariants, WindowsAreDisjointByConstruction)
 {
-    DatacenterHost host(threeTenants(false),
+    DatacenterHost host(threeTenants(),
                         contendedHostConfig(7), halfColdFactory());
     for (unsigned i = 0; i < host.tenantCount(); ++i) {
         for (unsigned j = i + 1; j < host.tenantCount(); ++j) {
@@ -225,7 +208,7 @@ TEST(HostInvariants, CapacityCapBoundsPromotions)
     HostConfig config = contendedHostConfig(11);
     config.arbiter.migrationBwBytesPerSec = 0; // capacity only
     config.arbiter.tenantFastCapBytes = 40_MiB;
-    DatacenterHost host(threeTenants(false), config,
+    DatacenterHost host(threeTenants(), config,
                         halfColdFactory());
     const HostResult hr = host.run();
     EXPECT_EQ(hr.invariantViolations, 0u);

@@ -2,12 +2,11 @@
  * @file
  * Migration-subsystem tests (the ctest `migrate` label): bounded
  * queue invariants (occupancy <= capacity, FIFO issue order,
- * service-budget adherence), transactional abort/rollback including
- * torn shadow copies under a fault plan, non-exclusive residency
- * bookkeeping (the shadow ledger always matches the memory model),
- * determinism of the queue-riding engines across the jobs x shards
- * matrix, and the pass-through guarantee for the five legacy
- * engines.
+ * service-budget adherence), transactional abort/rollback on dirty
+ * revalidation, non-exclusive residency bookkeeping (the shadow
+ * ledger always matches the memory model), determinism of the
+ * queue-riding engines across the jobs x shards matrix, and the
+ * pass-through guarantee for the five legacy engines.
  */
 
 #include <cstdlib>
@@ -17,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fault/fault_injector.hh"
 #include "harness.hh"
 #include "migrate/migration_queue.hh"
 #include "migrate/transaction_engine.hh"
@@ -31,6 +29,7 @@ namespace
 
 using test::halfColdWorkload;
 using test::tinySimConfig;
+using test::writeHeavyWorkload;
 
 /** Pins THERMOSTAT_JOBS for one scope (restores on destruction). */
 class ScopedJobs
@@ -249,33 +248,6 @@ TEST_F(MigrateQueueTest, DirtyTransactionRollsBack)
     EXPECT_EQ(queue_.stats().leavesAborted, 1u);
 }
 
-TEST_F(MigrateQueueTest, TornShadowCopyAbortsUnderFaultPlan)
-{
-    FaultPlan plan;
-    std::string error;
-    ASSERT_TRUE(FaultPlan::parse("migration-copy:p=1", plan, error))
-        << error;
-    FaultInjector faults(plan, 7);
-    txn_.setFaultInjector(&faults);
-
-    ASSERT_TRUE(
-        queue_.enqueueLeaf(hugeLeaf(0), true, Tier::Slow, true));
-    queue_.step(kNsPerSec);
-
-    // The copy tore mid-flight: no transaction opened, the shadow
-    // frames went back, the half-copy's wear sticks.
-    EXPECT_EQ(space_.tierOf(hugeLeaf(0)), Tier::Fast);
-    EXPECT_EQ(queue_.inflight(), 0u);
-    EXPECT_EQ(std::as_const(memory_).shadowBytes(Tier::Slow), 0u);
-    EXPECT_EQ(memory_.slow().usedBytes(), 0u);
-    EXPECT_EQ(txn_.verifyLedger(), 0u);
-    EXPECT_EQ(txn_.stats().tornAborts, 1u);
-    EXPECT_GT(memory_.slow().totalWear(), 0u);
-    const auto done = queue_.takeCompletions();
-    ASSERT_EQ(done.size(), 1u);
-    EXPECT_TRUE(done[0].aborted);
-}
-
 TEST_F(MigrateQueueTest, ReplicaBackedDemotionSkipsTheShadow)
 {
     // Promote transactionally with retain: after the commit the
@@ -335,39 +307,28 @@ TEST_F(MigrateQueueTest, WriteDropsTheReadReplica)
 
 SimResult
 runEngine(const std::string &policy, std::uint64_t seed,
-          unsigned shards, const std::string &fault_plan = "")
+          unsigned shards)
 {
     SimConfig config = tinySimConfig(seed);
     config.policy = policy;
     config.policyParams.coldFraction = 0.4;
     config.shards = shards;
     config.duration = 60 * kNsPerSec;
-    if (!fault_plan.empty()) {
-        std::string error;
-        EXPECT_TRUE(
-            FaultPlan::parse(fault_plan, config.faultPlan, error))
-            << error;
-    }
     Simulation sim(halfColdWorkload(), config);
     return sim.run();
 }
 
-TEST(MigrateEngines, NomadLedgerMatchesMemoryEveryEpochUnderFaults)
+TEST(MigrateEngines, NomadLedgerMatchesMemoryEveryEpochUnderWrites)
 {
     SimConfig config = tinySimConfig(5);
     config.policy = "nomad";
     config.policyParams.coldFraction = 0.4;
     config.duration = 60 * kNsPerSec;
-    std::string error;
-    ASSERT_TRUE(FaultPlan::parse("migration-copy:p=0.2",
-                                 config.faultPlan, error))
-        << error;
-    Simulation sim(halfColdWorkload(), config);
+    Simulation sim(writeHeavyWorkload(), config);
     sim.setEpochHook([](Simulation &s, Ns) {
         // Non-exclusive residency bookkeeping: every tier's used
         // bytes must decompose into mapped leaves plus the shadow
-        // ledger -- after every epoch, torn copies and rollbacks
-        // included.
+        // ledger -- after every epoch, dirty rollbacks included.
         std::uint64_t mapped_fast = 0;
         std::uint64_t mapped_slow = 0;
         s.machine().space().pageTable().forEachLeaf(
@@ -388,14 +349,16 @@ TEST(MigrateEngines, NomadLedgerMatchesMemoryEveryEpochUnderFaults)
         EXPECT_EQ(memory.slow().usedBytes(),
                   mapped_slow +
                       std::as_const(memory).shadowBytes(Tier::Slow));
-        EXPECT_EQ(s.transactionEngine().stats().ledgerViolations,
-                  0u);
+        EXPECT_EQ(s.transactionEngine().verifyLedger(), 0u);
     });
     const SimResult r = sim.run();
     EXPECT_EQ(r.auditViolations, 0u);
     EXPECT_EQ(r.transactions.ledgerViolations, 0u);
     EXPECT_GT(r.transactions.begins, 0u);
-    EXPECT_GT(r.transactions.aborts, 0u); // p=0.2 must tear some
+    // The writer must land on open demotion transactions, so the
+    // ledger scan above sees rollbacks.
+    EXPECT_GT(r.transactions.dirtyAborts, 0u);
+    EXPECT_EQ(r.transactions.aborts, r.transactions.dirtyAborts);
     EXPECT_GT(r.queue.issued, 0u);
 }
 

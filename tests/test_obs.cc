@@ -183,6 +183,7 @@ TEST(EventTracer, ParseEventMask)
     EXPECT_TRUE(parseEventMask("sample,migrate", &mask));
     EXPECT_EQ(mask, kEvSample | kEvMigrate);
     EXPECT_FALSE(parseEventMask("sample,bogus", &mask));
+    EXPECT_FALSE(parseEventMask("fault", &mask));
 }
 
 TEST(EventTracer, PhaseScopeEmitsPhase)

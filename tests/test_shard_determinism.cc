@@ -7,7 +7,7 @@
  * points are all commutative, so SimConfig.shards only chooses how
  * many threads execute the lanes -- never what they compute.  This
  * suite proves it empirically: for a matrix of seeds x workload
- * configurations (including a fault-plan run, and the PEBS,
+ * configurations (including a Device-mode run, and the PEBS,
  * sampler-feedback and nomad modes whose order-sensitive work is
  * replayed in draw order, and cells whose streams span several
  * draw-ahead chunks), the full flight-recorder CSV, the metrics
@@ -87,16 +87,6 @@ matrixCells(std::uint64_t seed)
     device.config.machine.slowMode = SlowEmuMode::Device;
     device.config.machine.countingMode = CountingMode::CmBit;
     cells.push_back(std::move(device));
-
-    Cell faulty{"device-faultplan", matrixConfig(seed)};
-    faulty.config.machine.slowMode = SlowEmuMode::Device;
-    std::string error;
-    EXPECT_TRUE(FaultPlan::parse(
-        "slow-latency:from=5,until=12,factor=3;"
-        "wear-retire:at=12,count=2",
-        faulty.config.faultPlan, error))
-        << error;
-    cells.push_back(std::move(faulty));
     return cells;
 }
 

@@ -2,10 +2,12 @@
  * @file
  * Tenant-spec parser tests: the --tenants grammar's happy paths,
  * every rejection class (malformed counts and knobs, unknown
- * policy/workload names with their listings, duplicate ids, bad
- * fault plans), a seeded random fuzz sweep that must never crash,
+ * keys and policy/workload names with their listings, duplicate
+ * ids), a seeded random fuzz sweep that must never crash,
  * and the CLI contract that a bad --tenants file exits 2 with the
- * diagnostic on stderr (the --list-policies convention).
+ * diagnostic on stderr (the --list-policies convention).  The same
+ * contract covers the removed fault-injection inputs: --fault-plan,
+ * the `fault` trace category and the tenant fault-plan= key.
  */
 
 #include <gtest/gtest.h>
@@ -48,8 +50,7 @@ TEST(TenantSpec, ParsesFullGrammar)
                       " target=2.5\n"
                       "id=cache workload=redis policy=lru-age"
                       " cold-fraction=0.3 count=4\n"
-                      "id=faulty workload=cassandra"
-                      " fault-plan=migration-copy:p=0.1\n",
+                      "id=db workload=cassandra\n",
                       &specs, &error))
         << error;
     ASSERT_EQ(specs.size(), 3u);
@@ -59,7 +60,7 @@ TEST(TenantSpec, ParsesFullGrammar)
     EXPECT_EQ(specs[1].policy, "lru-age");
     EXPECT_EQ(specs[1].coldFraction, 0.3);
     EXPECT_EQ(specs[1].count, 4u);
-    EXPECT_EQ(specs[2].faultPlan, "migration-copy:p=0.1");
+    EXPECT_EQ(specs[2].workload, "cassandra");
     EXPECT_EQ(specs[2].policy, "thermostat"); // default
 }
 
@@ -110,8 +111,8 @@ TEST(TenantSpec, RejectsEveryMalformationClass)
         {"id=a workload=redis\nid=a workload=redis\n",
          "duplicate"},
         {"id=bad/id workload=redis\n", "id"},
-        {"id=a workload=redis fault-plan=garbage:x\n",
-         "fault-plan"},
+        {"id=a workload=redis fault-plan=migration-copy:p=0.1\n",
+         "unknown key 'fault-plan'"},
         {"stray-token\n", "expected"},
     };
     for (const auto &c : cases) {
@@ -146,6 +147,14 @@ TEST(TenantSpec, UnknownNamesListTheKnownOnes)
     EXPECT_NE(error.find("redis-bursty"), std::string::npos)
         << error;
     EXPECT_NE(error.find("trace:"), std::string::npos) << error;
+    error.clear();
+    EXPECT_FALSE(parse("id=a workload=redis frobnicate=1\n", &specs,
+                       &error));
+    for (const char *key : {"id", "workload", "policy", "target",
+                            "cold-fraction", "count"}) {
+        EXPECT_NE(error.find(key), std::string::npos)
+            << "key listing missing " << key;
+    }
 }
 
 TEST(TenantSpec, DuplicateIdsAcrossCountExpansion)
@@ -171,7 +180,7 @@ TEST(TenantSpec, FuzzNeverCrashes)
     // never crash.  Character set skews toward grammar tokens so
     // the interesting paths actually get hit.
     const std::string alphabet =
-        "id=workload policy count target cold-fraction fault-plan"
+        "id=workload policy count target cold-fraction"
         " redis\n\t #.:/-0123456789\xff\x01";
     Rng rng(20260808);
     for (int round = 0; round < 2000; ++round) {
@@ -226,6 +235,41 @@ TEST(TenantSpecCli, BadTenantsFileExitsTwoWithListing)
         << output;
     EXPECT_NE(output.find("thermostat"), std::string::npos)
         << output;
+}
+
+TEST(TenantSpecCli, FaultPlanKeyExitsTwoWithKeyListing)
+{
+    TempDir dir;
+    const std::string conf = dir.file("tenants.conf");
+    ASSERT_TRUE(spillFile(conf, "id=a workload=redis"
+                                " fault-plan=migration-copy:p=0.1\n"));
+    std::string output;
+    const int status = runCommand(
+        std::string(THERMOSTAT_SIM_BIN) + " --tenants " + conf,
+        &output);
+    EXPECT_EQ(status, 2) << output;
+    EXPECT_NE(output.find("unknown key 'fault-plan'"),
+              std::string::npos)
+        << output;
+    EXPECT_NE(output.find("cold-fraction"), std::string::npos)
+        << output;
+}
+
+TEST(SimCli, FaultOptionsAreRejectedWithUsage)
+{
+    for (const char *args :
+         {" --workload redis --fault-plan x",
+          " --workload redis --trace-events fault"}) {
+        SCOPED_TRACE(args);
+        std::string output;
+        const int status = runCommand(
+            std::string(THERMOSTAT_SIM_BIN) + args, &output);
+        EXPECT_EQ(status, 2) << output;
+        EXPECT_NE(output.find("usage:"), std::string::npos)
+            << output;
+        EXPECT_EQ(output.find("fault-plan"), std::string::npos)
+            << output;
+    }
 }
 
 TEST(TenantSpecCli, MissingFileExitsTwo)

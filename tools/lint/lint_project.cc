@@ -473,28 +473,25 @@ layeringDag()
         {
             {"common", {}},
             {"obs", {"common"}},
-            {"fault", {"common", "obs"}},
-            {"mem", {"common", "obs", "fault"}},
+            {"mem", {"common", "obs"}},
             {"vm", {"common", "obs", "mem"}},
             {"tlb", {"common", "obs"}},
             {"cache", {"common", "obs"}},
             {"sys",
-             {"common", "obs", "fault", "mem", "vm", "tlb",
-              "cache"}},
+             {"common", "obs", "mem", "vm", "tlb", "cache"}},
             {"workload", {"common", "vm"}},
             {"core", {"common", "sys", "vm"}},
             {"migrate",
-             {"common", "obs", "fault", "mem", "sys", "vm"}},
+             {"common", "obs", "mem", "sys", "vm"}},
             {"policy",
              {"common", "obs", "core", "migrate", "sys", "vm",
               "workload"}},
             {"sim",
-             {"common", "obs", "fault", "mem", "vm", "tlb", "cache",
-              "sys", "workload", "core", "migrate", "policy"}},
+             {"common", "obs", "mem", "vm", "tlb", "cache", "sys",
+              "workload", "core", "migrate", "policy"}},
             {"host",
-             {"common", "obs", "fault", "mem", "vm", "tlb", "cache",
-              "sys", "workload", "core", "migrate", "policy",
-              "sim"}},
+             {"common", "obs", "mem", "vm", "tlb", "cache", "sys",
+              "workload", "core", "migrate", "policy", "sim"}},
         };
     return kDag;
 }

@@ -40,7 +40,7 @@ rules()
          {{"src/", "bench/", "tools/"}, {}}},
         {"trace-category",
          "event-mask literals must use registered categories "
-         "(sample,poison,classify,migrate,correct,phase,fault,policy,"
+         "(sample,poison,classify,migrate,correct,phase,policy,"
          "all,none)",
          {{"src/", "bench/", "tools/"}, {}}},
         {"unsafe-c-api",

@@ -65,7 +65,7 @@ siteAt(const std::vector<LineView> &lines, std::size_t index)
 
 const std::set<std::string> kTraceCategories = {
     "all",     "none",    "sample", "poison", "classify",
-    "migrate", "correct", "phase",  "fault",  "policy"};
+    "migrate", "correct", "phase",  "policy"};
 
 bool
 validMetricLiteral(const std::string &lit)

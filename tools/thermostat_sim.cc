@@ -11,7 +11,6 @@
  *                  [--trace-out FILE] [--trace-events MASK] \
  *                  [--flight-out FILE] [--profile-out FILE] \
  *                  [--sample-period N] [--sampler-feedback] \
- *                  [--fault-plan SPEC] \
  *                  [--log-level quiet|normal|verbose]
  *
  * Prints the run summary and, with --csv, writes the plot series
@@ -92,12 +91,8 @@ usage(const char *argv0)
         "  --sampler-feedback route sampled accesses into the\n"
         "                     policy's access-feedback hook\n"
         "  --trace-events M   comma list of sample,poison,classify,\n"
-        "                     migrate,correct,fault,phase | all |"
+        "                     migrate,correct,policy,phase | all |"
         " none\n"
-        "  --fault-plan SPEC  deterministic fault injection, e.g.\n"
-        "                     \"migration-copy:p=0.05;"
-        "wear-retire:at=60,count=4\"\n"
-        "                     (grammar: src/fault/fault_injector.hh)\n"
         "  --log-level L      quiet | normal | verbose\n"
         "multi-tenant host mode (instead of --workload):\n"
         "  --tenants FILE     run a consolidated host from a tenant\n"
@@ -111,7 +106,7 @@ usage(const char *argv0)
         "  --tenant-fast-cap-mb N  per-tenant fast-tier cap, MiB\n"
         "  (host mode honours --target --duration --warmup --seed\n"
         "   --shards --mode --counting --thp --metrics-out\n"
-        "   --flight-out; per-tenant policy/target/fault-plan come\n"
+        "   --flight-out; per-tenant policy/target come\n"
         "   from the spec file)\n",
         argv0);
     std::exit(2);
@@ -289,14 +284,6 @@ main(int argc, char **argv)
                 std::atoll(nextArg(argc, argv, i)));
         } else if (!std::strcmp(arg, "--sampler-feedback")) {
             config.samplerFeedback = true;
-        } else if (!std::strcmp(arg, "--fault-plan")) {
-            std::string error;
-            if (!FaultPlan::parse(nextArg(argc, argv, i),
-                                  config.faultPlan, error)) {
-                std::fprintf(stderr, "bad --fault-plan: %s\n",
-                             error.c_str());
-                usage(argv[0]);
-            }
         } else if (!std::strcmp(arg, "--trace-events")) {
             if (!parseEventMask(nextArg(argc, argv, i),
                                 &config.traceMask)) {
@@ -479,25 +466,6 @@ main(int argc, char **argv)
                   std::to_string(r.engine.pagesSpread)});
     table.addRow({"audit violations",
                   std::to_string(r.auditViolations)});
-    if (sim.faultInjector() != nullptr) {
-        table.addRow({"migration retries",
-                      std::to_string(r.migration.retries)});
-        table.addRow({"copy aborts",
-                      std::to_string(r.migration.copyAborts)});
-        table.addRow({"pages quarantined",
-                      std::to_string(r.engine.quarantined)});
-        table.addRow({"throttled periods",
-                      std::to_string(r.engine.throttledPeriods)});
-        table.addRow({"evacuation promotions",
-                      std::to_string(r.engine.evacuationPromotions)});
-        table.addRow(
-            {"retired slow frames",
-             std::to_string(sim.machine()
-                                .memory()
-                                .slow()
-                                .allocator()
-                                .retiredFrames())});
-    }
     table.print();
 
     if (!metrics_out.empty()) {
