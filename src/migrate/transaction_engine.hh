@@ -94,6 +94,13 @@ class TransactionEngine
     void markDirty(Addr base, Ns now);
 
     /**
+     * Whether @p base has a ledger entry, i.e. whether markDirty()
+     * would act on it.  Safe from the lanes: nothing writes the
+     * ledger while they run.
+     */
+    bool inLedger(Addr base) const { return ledger_.contains(base); }
+
+    /**
      * Phase 2 -- commit-or-abort.  Clean entries release the shadow
      * frame and issue the real move through the PageMigrator (the
      * audited path); dirty entries roll back.  Returns whether the
@@ -151,12 +158,14 @@ class TransactionEngine
                        std::uint64_t bytes);
 
     // Driven only from the queue's epoch step and the policy's
-    // (serial) decision round; lane workers never touch it.
+    // (serial) decision round and feedback barrier; lane workers
+    // only look pages up in the ledger (inLedger).
     AddressSpace &space_;           // shard: serial-only
     PageMigrator &migrator_;        // shard: serial-only
     EventTracer *tracer_ = nullptr; // shard: serial-only
     bool active_ = false;           // shard: serial-only
-    FlatMap<Addr, ShadowEntry> ledger_; // shard: serial-only
+    // shard: read-only while the lanes run (inLedger)
+    FlatMap<Addr, ShadowEntry> ledger_;
     TransactionStats stats_;        // shard: serial-only
 };
 

@@ -19,10 +19,11 @@ HotnessPolicy::name() const
 
 void
 HotnessPolicy::onProfiledAccess(Addr base, bool huge, bool write,
-                                Count weight)
+                                Count weight, std::uint64_t seq)
 {
     (void)huge;
     (void)write;
+    (void)seq;
     window_[base] += weight;
 }
 
@@ -59,23 +60,23 @@ HotnessPolicy::runPeriod(Ns now)
     };
     std::vector<Hot> hot;
     for (const Addr base : placedHuge_) {
-        const auto it = window_.find(base);
-        if (it == window_.end()) {
+        const Count *count = window_.find(base);
+        if (count == nullptr) {
             continue;
         }
-        if (static_cast<double>(it->value) / period_sec >=
+        if (static_cast<double>(*count) / period_sec >=
             params().promoteRateThreshold) {
-            hot.push_back({base, true, it->value});
+            hot.push_back({base, true, *count});
         }
     }
     for (const Addr base : placedBase_) {
-        const auto it = window_.find(base);
-        if (it == window_.end()) {
+        const Count *count = window_.find(base);
+        if (count == nullptr) {
             continue;
         }
-        if (static_cast<double>(it->value) / period_sec >=
+        if (static_cast<double>(*count) / period_sec >=
             params().promoteRateThreshold) {
-            hot.push_back({base, false, it->value});
+            hot.push_back({base, false, *count});
         }
     }
     std::sort(hot.begin(), hot.end(), [](const Hot &a, const Hot &b) {

@@ -32,17 +32,52 @@ NomadPolicy::name() const
 
 void
 NomadPolicy::onProfiledAccess(Addr base, bool huge, bool write,
-                              Count weight)
+                              Count weight, std::uint64_t seq)
 {
     (void)huge;
     WindowEntry &entry = window_[base];
     if (write) {
         entry.writes += weight;
         // Dirty-revalidation feed: a write aborts any open
-        // transaction on the page and drops its read replica.
-        transactions()->markDirty(base, nowHint_);
+        // transaction on the page and drops its read replica, in
+        // draw order at the barrier.
+        if (transactions()->inLedger(base)) {
+            dirtyLogs_[laneOf(base)].writes.push_back({seq, base});
+        }
     } else {
         entry.reads += weight;
+    }
+}
+
+void
+NomadPolicy::joinAccessFeedback()
+{
+    // Merge the lanes' logs, each already in seq order.  Replica
+    // drops free shadow frames onto LIFO free lists and emit events,
+    // so draw order is what keeps them identical at every shard
+    // count.
+    std::array<std::size_t, kMachineLanes> next{};
+    for (;;) {
+        const DirtyWrite *first = nullptr;
+        unsigned from = 0;
+        for (unsigned lane = 0; lane < kMachineLanes; ++lane) {
+            const std::vector<DirtyWrite> &writes =
+                dirtyLogs_[lane].writes;
+            if (next[lane] < writes.size() &&
+                (first == nullptr ||
+                 writes[next[lane]].seq < first->seq)) {
+                first = &writes[next[lane]];
+                from = lane;
+            }
+        }
+        if (first == nullptr) {
+            break;
+        }
+        transactions()->markDirty(first->base, nowHint_);
+        ++next[from];
+    }
+    for (DirtyLog &log : dirtyLogs_) {
+        log.writes.clear();
     }
 }
 
@@ -83,15 +118,14 @@ NomadPolicy::runPeriod(Ns now)
     };
     std::vector<Hot> hot;
     const auto consider = [&](Addr base, bool huge) {
-        const auto it = window_.find(base);
-        if (it == window_.end() || hasInFlight(base)) {
+        const WindowEntry *entry = window_.find(base);
+        if (entry == nullptr || hasInFlight(base)) {
             return;
         }
-        const Count total = it->value.reads + it->value.writes;
+        const Count total = entry->reads + entry->writes;
         if (static_cast<double>(total) / period_sec >=
             params().promoteRateThreshold) {
-            hot.push_back(
-                {base, huge, it->value.reads, it->value.writes});
+            hot.push_back({base, huge, entry->reads, entry->writes});
         }
     };
     for (const Addr base : placedHuge_) {

@@ -16,6 +16,14 @@
  * spends the replica instead of a shadow copy -- the page "returns"
  * to slow memory for free.  Any write drops the replica.
  *
+ * Access feedback arrives from the machine lanes (see
+ * TieringPolicy::onProfiledAccess): the read/write window is a
+ * LaneWindow, and the one order-sensitive effect, markDirty() on a
+ * page in the transaction ledger, is logged per lane with the
+ * reference's sequence number and applied in draw order by
+ * joinAccessFeedback().  Nothing changes the ledger while the lanes
+ * run, so a write to a page outside it needs no log entry.
+ *
  * Congestion feedback: the engine stops ordering work for the
  * period when the queue reads busy (queuePressure() at or above
  * queueBusyThreshold), counting the skips it was forced into.
@@ -24,7 +32,10 @@
 #ifndef THERMOSTAT_POLICY_NOMAD_POLICY_HH
 #define THERMOSTAT_POLICY_NOMAD_POLICY_HH
 
-#include "common/flat_map.hh"
+#include <array>
+#include <vector>
+
+#include "policy/lane_window.hh"
 #include "policy/tiering_policy.hh"
 
 namespace thermostat
@@ -40,7 +51,8 @@ class NomadPolicy : public TieringPolicy
 
     bool wantsAccessFeedback() const override { return true; }
     void onProfiledAccess(Addr base, bool huge, bool write,
-                          Count weight) override;
+                          Count weight, std::uint64_t seq) override;
+    void joinAccessFeedback() override;
 
     void registerMetrics(MetricRegistry &registry) override;
 
@@ -53,7 +65,22 @@ class NomadPolicy : public TieringPolicy
 
     void runPeriod(Ns now);
 
-    FlatMap<Addr, WindowEntry> window_; //!< fed per profiled access
+    /** A write to a page in the ledger, for joinAccessFeedback(). */
+    struct DirtyWrite
+    {
+        std::uint64_t seq;
+        Addr base;
+    };
+
+    /** One lane's dirty writes of an epoch, in seq order. */
+    struct alignas(kCacheLineBytes) DirtyLog
+    {
+        std::vector<DirtyWrite> writes; // shard: lane-local
+    };
+
+    // shard: lane-local (a LaneWindow, fed from the lanes)
+    LaneWindow<WindowEntry> window_;
+    std::array<DirtyLog, kMachineLanes> dirtyLogs_; // shard: lane-local
     Ns nextDecision_ = 0;
     Ns lastDecision_ = 0;
     Ns nowHint_ = 0; //!< tick time, for feedback-path events

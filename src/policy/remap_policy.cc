@@ -31,10 +31,11 @@ RemapPolicy::name() const
 
 void
 RemapPolicy::onProfiledAccess(Addr base, bool huge, bool write,
-                              Count weight)
+                              Count weight, std::uint64_t seq)
 {
     (void)huge;
     (void)write;
+    (void)seq;
     leafWindow_[base] += weight;
     blockWindow_[alignDown2M(base)] += weight;
 }
@@ -73,12 +74,12 @@ RemapPolicy::runPeriod(Ns now)
     };
     std::vector<Hot> hot;
     const auto consider = [&](Addr base, bool huge) {
-        const auto it = leafWindow_.find(base);
-        if (it == leafWindow_.end() || hasInFlight(base)) {
+        const Count *count = leafWindow_.find(base);
+        if (count == nullptr || hasInFlight(base)) {
             return;
         }
-        if (static_cast<double>(it->value) / period_sec >= hot_rate) {
-            hot.push_back({base, huge, it->value});
+        if (static_cast<double>(*count) / period_sec >= hot_rate) {
+            hot.push_back({base, huge, *count});
         }
     };
     for (const Addr base : placedHuge_) {
@@ -118,9 +119,8 @@ RemapPolicy::runPeriod(Ns now)
             return;
         }
         if (huge) {
-            const auto it = blockWindow_.find(base);
-            const Count count =
-                it == blockWindow_.end() ? 0 : it->value;
+            const Count *block = blockWindow_.find(base);
+            const Count count = block == nullptr ? 0 : *block;
             if (count == 0) {
                 coldBlocks.push_back(base);
             } else if (static_cast<double>(count) / period_sec <

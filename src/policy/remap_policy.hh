@@ -26,7 +26,7 @@
 #ifndef THERMOSTAT_POLICY_REMAP_POLICY_HH
 #define THERMOSTAT_POLICY_REMAP_POLICY_HH
 
-#include "common/flat_map.hh"
+#include "policy/lane_window.hh"
 #include "policy/tiering_policy.hh"
 
 namespace thermostat
@@ -42,7 +42,7 @@ class RemapPolicy : public TieringPolicy
 
     bool wantsAccessFeedback() const override { return true; }
     void onProfiledAccess(Addr base, bool huge, bool write,
-                          Count weight) override;
+                          Count weight, std::uint64_t seq) override;
 
     void registerMetrics(MetricRegistry &registry) override;
 
@@ -52,8 +52,10 @@ class RemapPolicy : public TieringPolicy
 
     void runPeriod(Ns now);
 
-    FlatMap<Addr, Count> leafWindow_;  //!< per-leaf window counts
-    FlatMap<Addr, Count> blockWindow_; //!< per-2MB-block counts
+    /** Per-leaf window counts. */
+    LaneWindow<Count> leafWindow_; // shard: lane-local
+    /** Per-2MB-block counts; a block is in its leaves' lane. */
+    LaneWindow<Count> blockWindow_; // shard: lane-local
     Ns nextDecision_ = 0;
     Ns lastDecision_ = 0;
     Count throttleSkips_ = 0; //!< rounds cut short by congestion

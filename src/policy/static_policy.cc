@@ -19,10 +19,12 @@ StaticColdestPolicy::name() const
 
 void
 StaticColdestPolicy::onProfiledAccess(Addr base, bool huge,
-                                      bool write, Count weight)
+                                      bool write, Count weight,
+                                      std::uint64_t seq)
 {
     (void)huge;
     (void)write;
+    (void)seq;
     observed_[base] += weight;
 }
 
@@ -50,8 +52,8 @@ StaticColdestPolicy::placeOnce(Ns now)
     };
     std::vector<Candidate> candidates;
     space().pageTable().forEachLeaf([&](Addr base, Pte &, bool huge) {
-        const auto it = observed_.find(base);
-        const Count count = it == observed_.end() ? 0 : it->value;
+        const Count *observed = observed_.find(base);
+        const Count count = observed == nullptr ? 0 : *observed;
         candidates.push_back(
             {base, huge, count,
              huge ? kPageSize2M

@@ -16,7 +16,7 @@
 #ifndef THERMOSTAT_POLICY_STATIC_POLICY_HH
 #define THERMOSTAT_POLICY_STATIC_POLICY_HH
 
-#include "common/flat_map.hh"
+#include "policy/lane_window.hh"
 #include "policy/tiering_policy.hh"
 
 namespace thermostat
@@ -35,12 +35,13 @@ class StaticColdestPolicy : public TieringPolicy
 
     bool wantsAccessFeedback() const override { return !placed_; }
     void onProfiledAccess(Addr base, bool huge, bool write,
-                          Count weight) override;
+                          Count weight, std::uint64_t seq) override;
 
   private:
     void placeOnce(Ns now);
 
-    FlatMap<Addr, Count> observed_; //!< fed per profiled access
+    // shard: lane-local (a LaneWindow, fed from the lanes)
+    LaneWindow<Count> observed_;
     bool placed_ = false;
 };
 

@@ -190,18 +190,36 @@ class TieringPolicy
     /**
      * Access-feedback hook: when wantsAccessFeedback() is true the
      * driver forwards every profiling-stream reference (page base,
-     * leaf size, kind, represented real accesses).  Policies that
+     * leaf size, kind, represented real accesses), and with sampler
+     * feedback every sampled timing-stream reference.  Policies that
      * return false never pay the call.
+     *
+     * The machine lane that owns @p base (laneOf) makes the call,
+     * while the other lanes make theirs: an override may write only
+     * state that belongs to that lane (a LaneWindow) and read only
+     * state that nothing writes during the epoch's streams.  @p seq
+     * is the reference's place in the epoch's draw order (timing
+     * stream first); an effect that depends on the order is logged
+     * with it and applied by joinAccessFeedback().
      */
     virtual bool wantsAccessFeedback() const { return false; }
     virtual void
-    onProfiledAccess(Addr base, bool huge, bool write, Count weight)
+    onProfiledAccess(Addr base, bool huge, bool write, Count weight,
+                     std::uint64_t seq)
     {
         (void)base;
         (void)huge;
         (void)write;
         (void)weight;
+        (void)seq;
     }
+
+    /**
+     * Called on the simulation thread once per epoch that fed
+     * onProfiledAccess(), after every lane has finished: apply the
+     * logged order-sensitive effects in seq order.
+     */
+    virtual void joinAccessFeedback() {}
 
     /** Bytes currently placed in slow memory by this policy. */
     std::uint64_t coldBytes() const;

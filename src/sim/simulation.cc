@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <span>
 
 #include "common/logging.hh"
 #include "obs/json.hh"
 #include "policy/policy_factory.hh"
+#include "sim/epoch_pipeline.hh"
 
 namespace thermostat
 {
@@ -28,411 +28,6 @@ Simulation::resolveShards(const SimConfig &config)
 
 namespace
 {
-
-/** References per chunk without a pool: bounds the lane buckets,
- *  amortizes the lane fan-out. */
-constexpr std::uint64_t kChunkRefs = 65536;
-
-/** References per chunk with a pool: half as many, so the two token
- *  and three resolved buffers the pipeline rotates take about the
- *  memory of one full-size chunk's, and the pipeline fills sooner. */
-constexpr std::uint64_t kPipelineChunkRefs = 32768;
-
-/** References per resolve block: 16 KB of RefDraw tokens, which the
- *  one-shard path resolves while they are still in L1, and 64 pool
- *  jobs per chunk. */
-constexpr std::uint64_t kResolveBlock = 1024;
-
-/** Draws a lane scans per pass when it gathers its references. */
-constexpr std::uint64_t kGatherBatch = 256;
-
-/**
- * What a lane reports about one reference for the draw-order replay:
- * its leaf size, and whether the sampler recorded it (timing) or it
- * hit a poisoned page (profiling).
- */
-struct RefOutcome
-{
-    bool huge = false;
-    bool flagged = false;
-};
-
-/** Resolved references and the lane of each, in draw order. */
-struct ResolvedChunk
-{
-    std::vector<MemRef> refs;
-    std::vector<std::uint8_t> lanes;
-    std::uint64_t size = 0; //!< references in use
-};
-
-/**
- * One lane's share of a chunk: its outcomes, and without a pool its
- * references (with one, it reads them from the resolved chunk).
- */
-struct LaneBucket
-{
-    std::vector<MemRef> refs;         //!< in draw order
-    std::vector<RefOutcome> outcomes; //!< in draw order, set by the lane
-};
-
-/** One lane's host time in the current stream, on its own line. */
-struct alignas(kCacheLineBytes) LaneBusy
-{
-    Ns ns = 0;
-};
-
-/** Order-sensitive work on one reference, called in draw order. */
-using DrawReplay =
-    std::function<void(const MemRef &, const RefOutcome &)>;
-
-/**
- * Runs one lane's references of a chunk (see laneRunner): those of
- * the bucket, or, given a resolved chunk, the lane's references in
- * it.
- */
-using LaneRunner =
-    std::function<void(LaneBucket &, const ResolvedChunk *, unsigned)>;
-
-/**
- * One reference stream of an epoch: the RNG it draws from, how many
- * references, what a lane does with its references, the
- * order-sensitive replay (may be empty) and a hook run once the
- * stream's last lanes have joined and been replayed (may be empty).
- */
-struct StreamSpec
-{
-    const char *phase; //!< profiler and tracer scope of the stream
-    Rng &rng;
-    std::uint64_t count;
-    LaneRunner runLane;
-    DrawReplay replay;
-    std::function<void()> joined;
-};
-
-/**
- * A LaneRunner setting each outcome to @p execute(ref), in draw
- * order.  Given a resolved chunk, the lane picks its references out
- * of it by lane tag, a batch of tags at a time, so the lane job, not
- * a serial pass, buckets the chunk.
- */
-template <typename Execute>
-LaneRunner
-laneRunner(const Execute &execute)
-{
-    return [&execute](LaneBucket &bucket, const ResolvedChunk *chunk,
-                      unsigned lane) {
-        if (chunk == nullptr) {
-            bucket.outcomes.resize(bucket.refs.size());
-            for (std::size_t k = 0; k < bucket.refs.size(); ++k) {
-                bucket.outcomes[k] = execute(bucket.refs[k]);
-            }
-            return;
-        }
-        bucket.outcomes.clear();
-        std::array<std::uint32_t, kGatherBatch> picked;
-        for (std::uint64_t lo = 0; lo < chunk->size;
-             lo += kGatherBatch) {
-            const std::uint64_t hi =
-                std::min(lo + kGatherBatch, chunk->size);
-            std::size_t n = 0;
-            for (std::uint64_t i = lo; i < hi; ++i) {
-                picked[n] = static_cast<std::uint32_t>(i);
-                n += chunk->lanes[i] == lane;
-            }
-            for (std::size_t k = 0; k < n; ++k) {
-                bucket.outcomes.push_back(
-                    execute(chunk->refs[picked[k]]));
-            }
-        }
-    };
-}
-
-/**
- * The epoch pipeline's buffers: sized when an epoch's streams start,
- * shared by both streams, and freed with the epoch, so that their
- * memory serves the epoch's serial phases in between.
- */
-struct StreamBuffers
-{
-    /** RNG-pass tokens: [0] alone, one block, without a pool. */
-    std::array<std::vector<RefDraw>, 2> tokens;
-    /**
-     * Resolved chunks.  Without a pool [0] alone holds the lane tags
-     * of the chunk and the references of one block.
-     */
-    std::array<ResolvedChunk, 3> chunks;
-    /** Each lane's share of the chunk being run. */
-    std::array<LaneBucket, kMachineLanes> lanes;
-    /** Each lane's host time in the current stream. */
-    std::array<LaneBusy, kMachineLanes> busy;
-};
-
-/**
- * The epoch pipeline: run @p streams, in order, through one schedule
- * of fixed-size chunks, the streams' chunks back to back.
- *
- * Each chunk takes four steps.  A serial RNG pass draws its tokens
- * from the stream's Rng (Workload::draw).  A pure resolve turns each
- * token into a MemRef and tags it with its lane (Workload::resolve,
- * laneOf).  Every lane runs its references in draw order.  Then the
- * stream's replay, when set, sees each reference and its outcome in
- * draw order.
- *
- * With a pool (kPipelineChunkRefs per chunk) the steps of three
- * chunks overlap: while the pool runs chunk c's lanes and resolves
- * chunk c+1 in kResolveBlock blocks, the calling thread draws chunk
- * c+2, even when c+2 belongs to the next stream.  Each lane job picks
- * its references out of the resolved chunk by lane tag.  Once both
- * have joined, the pool resolves chunk c+2 while the calling thread
- * replays chunk c.  Two token and three resolved buffers rotate
- * between the chunks.  Without a pool
- * (kChunkRefs per chunk) each chunk is drawn, resolved and bucketed
- * by lane one block at a time, then its lanes run inline and it is
- * replayed.  Either way:
- *  - RNG passes run on the calling thread in stream order, then
- *    chunk order, so every Rng (and pattern state that both streams
- *    share, such as a scan cursor) advances exactly as a
- *    reference-at-a-time loop would advance it;
- *  - a lane runs its chunks in order, so its timing work precedes
- *    its profiling work;
- *  - replays and `joined` hooks run on the calling thread in global
- *    chunk order, and no lane starts chunk c+1 before chunk c's
- *    replay has finished.
- * Draws and resolves read only workload state, which
- * Workload::advance() writes before the streams and neither the
- * lanes nor the replays write, so running them early changes no
- * result.  If a draw or a submit throws, every job is joined before
- * the error propagates; a job's error surfaces from the join.
- *
- * Each stream runs in one @p profiler / @p tracer scope named after
- * it, whose children time the RNG pass (`draw`), the join
- * (`resolve`, or `lanes` when nothing was resolved) and the replay;
- * without a pool the resolve and lanes steps are timed on their own.
- * With an enabled profiler, each stream also records its lanes' host
- * time as concurrent children: the busiest lane's
- * (`lanes_busy_max`) and the mean over lanes (`lanes_busy_mean`).
- */
-void
-runStreams(Workload &workload, ThreadPool *pool, Profiler *profiler,
-           EventTracer *tracer, StreamBuffers &buffers,
-           std::span<StreamSpec> streams)
-{
-    const bool timed = profiler != nullptr && profiler->enabled();
-    const auto run_lane = [&](const StreamSpec &stream,
-                              const ResolvedChunk *chunk,
-                              unsigned lane) {
-        const Ns begin = timed ? profiler->now() : 0;
-        stream.runLane(buffers.lanes[lane], chunk, lane);
-        if (timed) {
-            buffers.busy[lane].ns += profiler->now() - begin;
-        }
-    };
-    // Replay in draw order: one cursor per lane bucket, advanced by
-    // following the lane tag of each draw.  With a pool the
-    // references are the chunk's own, else the buckets'.
-    const auto replay = [&](const StreamSpec &stream,
-                            const ResolvedChunk &chunk) {
-        if (!stream.replay) {
-            return;
-        }
-        PhaseScope scope(profiler, "replay");
-        std::array<std::size_t, kMachineLanes> cursor{};
-        for (std::uint64_t i = 0; i < chunk.size; ++i) {
-            const LaneBucket &bucket = buffers.lanes[chunk.lanes[i]];
-            const std::size_t k = cursor[chunk.lanes[i]]++;
-            stream.replay(pool != nullptr ? chunk.refs[i]
-                                          : bucket.refs[k],
-                          bucket.outcomes[k]);
-        }
-    };
-    const auto begin_stream = [&] {
-        for (LaneBusy &busy : buffers.busy) {
-            busy.ns = 0;
-        }
-    };
-    const auto end_stream = [&](const StreamSpec &stream) {
-        if (timed) {
-            Ns busiest = 0;
-            Ns total = 0;
-            for (const LaneBusy &busy : buffers.busy) {
-                busiest = std::max(busiest, busy.ns);
-                total += busy.ns;
-            }
-            profiler->record("lanes_busy_max", busiest);
-            profiler->record("lanes_busy_mean", total / kMachineLanes);
-        }
-        if (stream.joined) {
-            stream.joined();
-        }
-    };
-    std::uint64_t largest = 0;
-    for (const StreamSpec &stream : streams) {
-        largest = std::max(largest, stream.count);
-    }
-    const std::uint64_t chunk_limit =
-        pool != nullptr ? kPipelineChunkRefs : kChunkRefs;
-    const std::uint64_t chunk_refs = std::min(chunk_limit, largest);
-
-    if (pool == nullptr) {
-        const std::uint64_t block_refs =
-            std::min(kResolveBlock, chunk_refs);
-        std::vector<RefDraw> &tokens = buffers.tokens[0];
-        ResolvedChunk &chunk = buffers.chunks[0];
-        tokens.resize(block_refs);
-        chunk.refs.resize(block_refs);
-        chunk.lanes.resize(chunk_refs);
-        for (const StreamSpec &stream : streams) {
-            PhaseScope scope(profiler, stream.phase, tracer);
-            begin_stream();
-            for (std::uint64_t first = 0; first < stream.count;
-                 first += kChunkRefs) {
-                chunk.size = std::min(kChunkRefs, stream.count - first);
-                for (LaneBucket &bucket : buffers.lanes) {
-                    bucket.refs.clear();
-                }
-                for (std::uint64_t lo = 0; lo < chunk.size;
-                     lo += kResolveBlock) {
-                    const std::uint64_t n =
-                        std::min(kResolveBlock, chunk.size - lo);
-                    {
-                        PhaseScope draw(profiler, "draw");
-                        workload.draw(stream.rng, {tokens.data(), n});
-                    }
-                    {
-                        PhaseScope resolve(profiler, "resolve");
-                        workload.resolve({tokens.data(), n},
-                                         {chunk.refs.data(), n});
-                    }
-                    PhaseScope draw(profiler, "draw");
-                    for (std::uint64_t i = 0; i < n; ++i) {
-                        const MemRef &ref = chunk.refs[i];
-                        const unsigned lane = laneOf(ref.addr);
-                        chunk.lanes[lo + i] =
-                            static_cast<std::uint8_t>(lane);
-                        buffers.lanes[lane].refs.push_back(ref);
-                    }
-                }
-                {
-                    PhaseScope lanes(profiler, "lanes");
-                    for (unsigned lane = 0; lane < kMachineLanes;
-                         ++lane) {
-                        run_lane(stream, nullptr, lane);
-                    }
-                }
-                replay(stream, chunk);
-            }
-            end_stream(stream);
-        }
-        return;
-    }
-
-    // The epoch's chunk sequence: every chunk of streams[0], then
-    // every chunk of streams[1], ...
-    const auto chunks_of = [](const StreamSpec &stream) {
-        return (stream.count + kPipelineChunkRefs - 1) /
-               kPipelineChunkRefs;
-    };
-    std::size_t total = 0;
-    for (const StreamSpec &stream : streams) {
-        total += chunks_of(stream);
-    }
-    // Stream and first reference of global chunk @p g.
-    const auto locate = [&](std::size_t g) {
-        std::size_t s = 0;
-        while (g >= chunks_of(streams[s])) {
-            g -= chunks_of(streams[s]);
-            ++s;
-        }
-        return std::pair<std::size_t, std::uint64_t>{
-            s, g * kPipelineChunkRefs};
-    };
-    const auto refs_of = [&](std::size_t g) {
-        const auto [s, first] = locate(g);
-        return std::min(kPipelineChunkRefs, streams[s].count - first);
-    };
-    for (std::vector<RefDraw> &tokens : buffers.tokens) {
-        tokens.resize(chunk_refs);
-    }
-    for (ResolvedChunk &chunk : buffers.chunks) {
-        chunk.refs.resize(chunk_refs);
-        chunk.lanes.resize(chunk_refs);
-    }
-    std::size_t drawn = 0;    // chunks whose RNG pass has run
-    std::size_t resolved = 0; // chunks whose resolve was submitted
-    const auto draw_next = [&] {
-        const std::size_t s = locate(drawn).first;
-        const std::uint64_t n = refs_of(drawn);
-        PhaseScope scope(profiler, "draw");
-        workload.draw(streams[s].rng,
-                      {buffers.tokens[drawn % 2].data(), n});
-        ++drawn;
-    };
-    // Submit the resolve of every drawn chunk not yet resolving.
-    const auto resolve_drawn = [&] {
-        for (; resolved < drawn; ++resolved) {
-            const std::uint64_t n = refs_of(resolved);
-            ResolvedChunk &chunk = buffers.chunks[resolved % 3];
-            chunk.size = n;
-            const RefDraw *tokens = buffers.tokens[resolved % 2].data();
-            for (std::uint64_t lo = 0; lo < n; lo += kResolveBlock) {
-                const std::uint64_t hi = std::min(lo + kResolveBlock, n);
-                pool->submit([&workload, &chunk, tokens, lo, hi] {
-                    workload.resolve({tokens + lo, hi - lo},
-                                     {chunk.refs.data() + lo, hi - lo});
-                    for (std::uint64_t i = lo; i < hi; ++i) {
-                        chunk.lanes[i] = static_cast<std::uint8_t>(
-                            laneOf(chunk.refs[i].addr));
-                    }
-                });
-            }
-        }
-    };
-    const auto join = [&](const char *phase) {
-        PhaseScope scope(profiler, phase);
-        pool->wait();
-    };
-
-    std::size_t g = 0; // next chunk to run
-    try {
-        for (const StreamSpec &stream : streams) {
-            PhaseScope scope(profiler, stream.phase, tracer);
-            begin_stream();
-            const std::size_t end = g + chunks_of(stream);
-            if (g == 0 && end > 0) {
-                // Prime the pipeline: chunk 0 resolved, chunk 1
-                // resolving.
-                draw_next();
-                resolve_drawn();
-                if (total > 1) {
-                    draw_next();
-                }
-                join("resolve");
-                resolve_drawn();
-            }
-            for (; g < end; ++g) {
-                const ResolvedChunk &chunk = buffers.chunks[g % 3];
-                for (unsigned lane = 0; lane < kMachineLanes; ++lane) {
-                    pool->submit([&run_lane, &stream, &chunk, lane] {
-                        run_lane(stream, &chunk, lane);
-                    });
-                }
-                const bool resolving = resolved > g + 1;
-                if (drawn < total) {
-                    draw_next();
-                }
-                join(resolving ? "resolve" : "lanes");
-                // Chunk g+2 resolves while chunk g is replayed.
-                resolve_drawn();
-                replay(stream, chunk);
-            }
-            end_stream(stream);
-        }
-    } catch (...) {
-        // No job may outlive the buffers it reads.
-        pool->wait();
-        throw;
-    }
-}
 
 /** Flight-recorder schema: one row per measured epoch. */
 std::vector<std::string>
@@ -597,114 +192,112 @@ Simulation::recordEpoch(Ns at, const EpochBase &base, Ns actual,
          delta(now.queueIssuedBytes, base.queueIssuedBytes)});
 }
 
-// shard: lane-local -- each executor touches only its lane's machine
-// state; the replays and the timing hook run on the calling thread
-// with no lane in flight.
+// shard: lane-local -- executors touch only their lane's machine state
+// and policy windows; the PEBS replay and barrier run on this thread.
 void
 Simulation::runEpochStreams(Ns &epoch_actual, Ns &epoch_baseline)
 {
     const Count weight = run_.weight;
+    TieringPolicy &policy = *policy_;
 
     // Timing stream: the modelled TLB, walk, LLC, BadgerTrap and
-    // tier path.
-    DrawReplay timing_replay;
-    if (config_.samplerFeedback && sampler_ != nullptr &&
-        policy_->wantsAccessFeedback()) {
-        // Each sample stands for ~period offered accesses: scale the
-        // feedback so the policy sees calibrated magnitudes.
-        const Count sample_weight = weight * config_.sampler.period;
-        timing_replay = [this, sample_weight](const MemRef &ref,
-                                              const RefOutcome &out) {
-            if (out.flagged) {
-                policy_->onProfiledAccess(
-                    out.huge ? alignDown2M(ref.addr)
-                             : alignDown4K(ref.addr),
-                    out.huge, ref.type == AccessType::Write,
-                    sample_weight);
-            }
-        };
-    }
-    const auto timing_execute = [&](const MemRef &ref) {
+    // tier path.  With sampler feedback, each sampled access also
+    // feeds the policy from its lane.
+    const bool sampler_feedback = config_.samplerFeedback &&
+                                  sampler_ != nullptr &&
+                                  policy.wantsAccessFeedback();
+    // Each sample stands for ~period offered accesses: scale the
+    // feedback so the policy sees calibrated magnitudes.
+    const Count sample_weight = weight * config_.sampler.period;
+    const auto timing_execute = [&](const MemRef &ref,
+                                    std::uint64_t seq) {
         const AccessOutcome out = machine_.access(
             ref.addr, ref.type, weight, ref.burstLines);
+        if (sampler_feedback && out.sampled) {
+            policy.onProfiledAccess(
+                out.huge ? alignDown2M(ref.addr) : alignDown4K(ref.addr),
+                out.huge, ref.type == AccessType::Write, sample_weight,
+                seq);
+        }
         return RefOutcome{out.huge, out.sampled};
-    };
-    const MachineStats before = machine_.stats();
-    const auto timing_joined = [&] {
-        // Every access adds latency x weight to its lane's stats, so
-        // the deltas divide exactly.
-        const MachineStats after = machine_.stats();
-        epoch_actual += (after.actualTime - before.actualTime) / weight;
-        epoch_baseline +=
-            (after.baselineTime - before.baselineTime) / weight;
-        // Flush the timing lanes' deferred device accounting before
-        // the profiling stream, as the merge-barrier contract asks.
-        machine_.syncDeviceState();
     };
 
     // Profiling stream: fine-grained accesses that maintain Accessed
     // bits and poisoned-page counters without touching the timing
-    // model.  Grab the component references up front: the Machine
-    // accessors that flush deferred device state must not run inside
-    // the lane workers.
+    // model, and feed the policy from their lanes.  Grab the
+    // component references up front: the Machine accessors that flush
+    // deferred device state must not run inside the lane workers.
     const bool pebs =
         config_.machine.countingMode == CountingMode::Pebs;
-    const bool feedback = config_.thermostatEnabled &&
-                          policy_->wantsAccessFeedback();
+    const bool feedback =
+        config_.thermostatEnabled && policy.wantsAccessFeedback();
     PageTable &table = machine_.space().pageTable();
     BadgerTrap &trap = machine_.trap();
     const Count pebs_budget = run_.pebsBudget;
     Count pebs_records = 0;
     DrawReplay profile_replay;
-    if (pebs || feedback) {
+    if (pebs) {
+        // PEBS: one record per pebsPeriod monitored accesses,
+        // silently dropped beyond the record-rate budget -- which is
+        // exactly why 1000Hz cannot support 30K accesses/sec of
+        // monitoring (Sec 6.1.2).  The modulo counter and the budget
+        // follow the draw order, so this stays a replay; it adds only
+        // to BadgerTrap page counts, which no profiling lane reads.
         profile_replay = [&](const MemRef &ref, const RefOutcome &out) {
-            const Addr base = out.huge ? alignDown2M(ref.addr)
-                                       : alignDown4K(ref.addr);
-            if (feedback) {
-                policy_->onProfiledAccess(
-                    base, out.huge, ref.type == AccessType::Write,
-                    config_.profileWeight);
-            }
-            // PEBS: one record per pebsPeriod monitored accesses,
-            // silently dropped beyond the record-rate budget --
-            // which is exactly why 1000Hz cannot support 30K
-            // accesses/sec of monitoring (Sec 6.1.2).
-            if (pebs && out.flagged &&
+            if (out.flagged &&
                 ++pebsMonitoredHits_ % config_.pebsPeriod == 0 &&
                 pebs_records < pebs_budget) {
                 ++pebs_records;
                 trap.recordAccess(
-                    base, config_.profileWeight * config_.pebsPeriod);
+                    out.huge ? alignDown2M(ref.addr)
+                             : alignDown4K(ref.addr),
+                    config_.profileWeight * config_.pebsPeriod);
             }
         };
     }
-    const auto profile_execute = [&](const MemRef &ref) {
+    const auto profile_execute = [&](const MemRef &ref,
+                                     std::uint64_t seq) {
         const WalkResult wr = table.walk(ref.addr);
         TSTAT_ASSERT(wr.mapped(), "profile ref unmapped");
+        const bool write = ref.type == AccessType::Write;
         wr.pte->setAccessed();
-        if (ref.type == AccessType::Write) {
+        if (write) {
             wr.pte->setDirty();
         }
         const bool poisoned = wr.pte->poisoned();
+        const Addr base =
+            wr.huge ? alignDown2M(ref.addr) : alignDown4K(ref.addr);
         // BadgerTrap counts every poisoned access here; PEBS records
         // are budgeted in draw order by the replay.
         if (poisoned && !pebs) {
-            trap.recordAccess(wr.huge ? alignDown2M(ref.addr)
-                                      : alignDown4K(ref.addr),
-                              config_.profileWeight);
+            trap.recordAccess(base, config_.profileWeight);
+        }
+        if (feedback) {
+            policy.onProfiledAccess(base, wr.huge, write,
+                                    config_.profileWeight, seq);
         }
         return RefOutcome{wr.huge, poisoned};
     };
 
     std::array<StreamSpec, 2> streams{
         StreamSpec{"timing_stream", rng_, config_.samplesPerEpoch,
-                   laneRunner(timing_execute), timing_replay,
-                   timing_joined},
+                   laneRunner(timing_execute, sampler_feedback), {}},
         StreamSpec{"profile_stream", profileRng_, run_.profileSamples,
-                   laneRunner(profile_execute), profile_replay, {}}};
-    StreamBuffers buffers;
-    runStreams(*workload_, pool_, &profiler_, &tracer_, buffers,
-               streams);
+                   laneRunner(profile_execute, feedback),
+                   profile_replay}};
+    const MachineStats before = machine_.stats();
+    runStreams(*workload_, pool_, &profiler_, &tracer_, streams, [&] {
+        // Every access adds latency x weight to its lane's stats, so
+        // the deltas divide exactly.  Profiling lanes touch no
+        // MachineStats, so the delta waits for the barrier.
+        const MachineStats after = machine_.stats();
+        epoch_actual += (after.actualTime - before.actualTime) / weight;
+        epoch_baseline +=
+            (after.baselineTime - before.baselineTime) / weight;
+        if (sampler_feedback || feedback) {
+            policy.joinAccessFeedback();
+        }
+    });
 }
 
 // shard: merge-barrier -- same contract as epochBase().

@@ -418,12 +418,16 @@ class Simulation
     TransactionEngine transactions_; // shard: serial-only
     MigrationQueue queue_;           // shard: serial-only
 
-    /** The selected engine. */
-    std::unique_ptr<TieringPolicy> policy_; // shard: serial-only
+    /**
+     * The selected engine.  Its access feedback runs in the lanes,
+     * each call on the lane owning the page (onProfiledAccess).
+     */
+    // shard: serial-only (feedback windows split per lane inside)
+    std::unique_ptr<TieringPolicy> policy_;
 
     Rng rng_;        // shard: serial-only (drawn before fan-out)
     Rng profileRng_; // shard: serial-only (drawn before fan-out)
-    Count pebsMonitoredHits_ = 0; // shard: serial-only (replay)
+    Count pebsMonitoredHits_ = 0; // shard: serial-only (PEBS replay)
     EpochHook hook_;              // shard: serial-only
 
     unsigned shards_ = 1;    //!< resolved // shard: read-only

@@ -23,7 +23,7 @@
  * pure `const` function of a block of such tokens -- the Zipf `pow`,
  * the slot permutation, the offset arithmetic -- so a stream can
  * draw a chunk serially and resolve it on several threads (see
- * runStreams in sim/simulation.cc), at one virtual call per block.
+ * runStreams in sim/epoch_pipeline.cc), at one virtual call per block.
  */
 
 #ifndef THERMOSTAT_WORKLOAD_ACCESS_PATTERN_HH

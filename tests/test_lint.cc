@@ -79,7 +79,7 @@ fixturesRoot()
 } // namespace
 
 // Each rule class must make the lint exit non-zero on its seeded
-// violation, and name the rule in the diagnostic.  The last five
+// violation, and name the rule in the diagnostic.  The last six
 // rows exercise the cross-TU project rules.
 TEST(Lint, EachRuleClassFiresOnSeededViolation)
 {
@@ -98,6 +98,7 @@ TEST(Lint, EachRuleClassFiresOnSeededViolation)
         {"src/rule_rng_underived.cc", "rng-stream-discipline"},
         {"src/rule_metric_catalog.cc", "metric-schema"},
         {"src/rule_event_catalog.cc", "metric-schema"},
+        {"src/rule_event_category.cc", "metric-schema"},
         {"src/sim/machine.cc", "merge-barrier-escape"},
     };
     for (const auto &[file, rule] : cases) {

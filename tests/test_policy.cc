@@ -1,8 +1,9 @@
 /**
  * @file
  * Tiering-policy subsystem tests: factory round-trips, per-policy
- * determinism, budget adherence of the comparison engines, and the
- * sanity ordering the comparison harness banks on -- at an equal
+ * determinism, budget adherence of the comparison engines, access
+ * feedback fed from the machine lanes, and the sanity ordering the
+ * comparison harness banks on -- at an equal
  * cold fraction the oracle's slowdown lower-bounds Thermostat's,
  * which beats naive static placement on a phase-shifting workload.
  */
@@ -14,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "harness.hh"
 #include "policy/policy_factory.hh"
 #include "workload/workload.hh"
@@ -25,6 +28,7 @@ namespace
 
 using test::halfColdWorkload;
 using test::tinySimConfig;
+using test::writeHeavyWorkload;
 
 // ---------------------------------------------------------------
 // Factory
@@ -192,6 +196,232 @@ TEST(PolicyBehaviour, BaselineRunPlacesNothing)
         const SimResult r = sim.run();
         EXPECT_EQ(r.finalColdFraction, 0.0);
         EXPECT_EQ(r.policy.demotionsOrdered, 0u);
+    }
+}
+
+// ---------------------------------------------------------------
+// Access feedback from the lanes
+// ---------------------------------------------------------------
+
+/** One access-feedback call. */
+struct Feedback
+{
+    Addr base;
+    bool huge;
+    bool write;
+    Count weight;
+};
+
+/** Every mapped leaf of @p sim: its base and whether it is huge. */
+std::vector<std::pair<Addr, bool>>
+mappedLeaves(Simulation &sim)
+{
+    std::vector<std::pair<Addr, bool>> leaves;
+    sim.machine().space().pageTable().forEachLeaf(
+        [&](Addr base, Pte &, bool huge) {
+            leaves.push_back({base, huge});
+        });
+    return leaves;
+}
+
+/**
+ * @p count feedback calls over @p sim's leaves, in a seeded draw
+ * order that follows neither address nor lane order.  Half the calls
+ * land on the first eighth of the leaves, with weights that make
+ * those pages hot for the promotion passes, and many leaves go
+ * unseen for the demotion passes.
+ */
+std::vector<Feedback>
+feedbackDraws(Simulation &sim, std::size_t count, std::uint64_t seed)
+{
+    const std::vector<std::pair<Addr, bool>> leaves = mappedLeaves(sim);
+    Rng rng(seed); // rng: test feedback draws
+    std::vector<Feedback> draws;
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t span = rng.nextBounded(2) == 0
+                                     ? leaves.size() / 8 + 1
+                                     : leaves.size();
+        const auto &[base, huge] = leaves[rng.nextBounded(span)];
+        draws.push_back({base, huge, rng.nextBounded(4) == 0,
+                         1 + rng.nextBounded(100)});
+    }
+    return draws;
+}
+
+/** Feed @p draws from one thread in draw order, then join. */
+void
+feedInDrawOrder(TieringPolicy &policy, const std::vector<Feedback> &draws)
+{
+    for (std::size_t i = 0; i < draws.size(); ++i) {
+        const Feedback &f = draws[i];
+        policy.onProfiledAccess(f.base, f.huge, f.write, f.weight, i);
+    }
+    policy.joinAccessFeedback();
+}
+
+/**
+ * Feed @p draws as an epoch's lanes do: one pool job per lane, each
+ * making its own pages' calls in draw order while the others make
+ * theirs, then join.
+ */
+void
+feedPerLane(TieringPolicy &policy, const std::vector<Feedback> &draws,
+            ThreadPool &pool)
+{
+    for (unsigned lane = 0; lane < kMachineLanes; ++lane) {
+        pool.submit([&policy, &draws, lane] {
+            for (std::size_t i = 0; i < draws.size(); ++i) {
+                const Feedback &f = draws[i];
+                if (laneOf(f.base) == lane) {
+                    policy.onProfiledAccess(f.base, f.huge, f.write,
+                                            f.weight, i);
+                }
+            }
+        });
+    }
+    pool.wait();
+    policy.joinAccessFeedback();
+}
+
+/** Every lifecycle event of @p sim's ring, as comparable text. */
+std::string
+lifecycleEvents(Simulation &sim)
+{
+    std::string out;
+    for (const TraceEvent &ev : sim.tracer().events()) {
+        if (ev.kind != EventKind::Phase) {
+            out += std::to_string(static_cast<int>(ev.kind)) + " " +
+                   std::to_string(ev.time) + " " +
+                   std::to_string(ev.addr) + " " +
+                   std::to_string(ev.value) + "\n";
+        }
+    }
+    return out;
+}
+
+/** A run's decisions: its flight rows, metrics and events. */
+std::string
+decisions(Simulation &sim)
+{
+    return sim.flightRecorder().toCsv() + sim.metricsJson() +
+           lifecycleEvents(sim);
+}
+
+/**
+ * Step @p sim through a 30 s run, feeding it extra access feedback
+ * before the first decision round (at 10 s) and between the first
+ * and the second, so both the demotion and the promotion passes see
+ * it.  @p feed null feeds nothing.
+ */
+std::string
+runWithExtraFeedback(const char *policy,
+                     void (*feed)(TieringPolicy &,
+                                  const std::vector<Feedback> &,
+                                  ThreadPool &),
+                     ThreadPool &pool)
+{
+    SimConfig config = tinySimConfig(21);
+    config.duration = 30 * kNsPerSec;
+    config.policy = policy;
+    config.policyParams.coldFraction = 0.4;
+    config.policyParams.promoteRateThreshold = 8000.0;
+    Simulation sim(writeHeavyWorkload(), config);
+    sim.startRun();
+    for (std::uint64_t epoch = 1; !sim.runDone(); ++epoch) {
+        sim.stepEpoch();
+        if (feed != nullptr && (epoch == 6 || epoch == 13)) {
+            feed(sim.policy(), feedbackDraws(sim, 20000, epoch), pool);
+        }
+    }
+    sim.finishRun();
+    return decisions(sim);
+}
+
+TEST(LaneFeedback, LaneFedWindowsDecideAsOneSerialWindow)
+{
+    // The same feedback, fed once from one thread in draw order and
+    // once from eight concurrent lane jobs in lane order, must give
+    // the same placements, promotions and events; feeding nothing
+    // must not, so the extra feedback reaches the decisions.
+    ThreadPool pool(4);
+    const auto serial = [](TieringPolicy &policy,
+                           const std::vector<Feedback> &draws,
+                           ThreadPool &) { feedInDrawOrder(policy, draws); };
+    for (const char *name : {"hotness", "remap", "static", "nomad"}) {
+        SCOPED_TRACE(name);
+        const std::string drawn = runWithExtraFeedback(name, serial, pool);
+        const std::string laned =
+            runWithExtraFeedback(name, feedPerLane, pool);
+        EXPECT_EQ(drawn, laned);
+        EXPECT_NE(drawn, runWithExtraFeedback(name, nullptr, pool));
+    }
+}
+
+TEST(LaneFeedback, NomadDirtyLogDropsReplicasInDrawOrder)
+{
+    // Writes reach the lanes in lane order, but replica drops free
+    // shadow frames and emit events, so they must happen in draw
+    // order: the order of each replica's first write.
+    SimConfig config = tinySimConfig(21);
+    config.duration = 60 * kNsPerSec;
+    config.policy = "nomad";
+    config.policyParams.coldFraction = 0.4;
+    Simulation sim(writeHeavyWorkload(), config);
+    sim.startRun();
+    std::vector<std::pair<Addr, bool>> replicas;
+    while (!sim.runDone() && replicas.size() < 4) {
+        sim.stepEpoch();
+        replicas.clear();
+        for (const auto &leaf : mappedLeaves(sim)) {
+            if (sim.transactionEngine().hasReplica(leaf.first)) {
+                replicas.push_back(leaf);
+            }
+        }
+    }
+    ASSERT_GE(replicas.size(), 4u);
+    std::vector<std::pair<Addr, bool>> others;
+    for (const auto &leaf : mappedLeaves(sim)) {
+        if (!sim.transactionEngine().hasReplica(leaf.first)) {
+            others.push_back(leaf);
+        }
+    }
+
+    // First writes in descending address order, each replica written
+    // again later, with reads and other pages' writes in between.
+    std::vector<Feedback> draws;
+    Rng rng(3); // rng: test feedback draws
+    std::vector<Addr> want;
+    for (auto it = replicas.rbegin(); it != replicas.rend(); ++it) {
+        const auto &[other, other_huge] =
+            others[rng.nextBounded(others.size())];
+        draws.push_back({it->first, it->second, false, 1});
+        draws.push_back({other, other_huge, true, 1});
+        draws.push_back({it->first, it->second, true, 1});
+        want.push_back(it->first);
+    }
+    for (const auto &[base, huge] : replicas) {
+        draws.push_back({base, huge, true, 1});
+    }
+
+    const Count dropped_before =
+        sim.transactionEngine().stats().replicasDropped;
+    ThreadPool pool(4);
+    feedPerLane(sim.policy(), draws, pool);
+    const Count dropped =
+        sim.transactionEngine().stats().replicasDropped - dropped_before;
+    ASSERT_EQ(dropped, replicas.size());
+
+    std::vector<Addr> got;
+    for (const TraceEvent &ev : sim.tracer().events()) {
+        if (ev.kind == EventKind::ReplicaDropped) {
+            got.push_back(ev.addr);
+        }
+    }
+    ASSERT_GE(got.size(), dropped);
+    got.erase(got.begin(), got.end() - static_cast<std::ptrdiff_t>(dropped));
+    EXPECT_EQ(got, want);
+    for (const auto &[base, huge] : replicas) {
+        EXPECT_FALSE(sim.transactionEngine().hasReplica(base));
     }
 }
 

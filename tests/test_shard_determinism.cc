@@ -7,12 +7,15 @@
  * points are all commutative, so SimConfig.shards only chooses how
  * many threads execute the lanes -- never what they compute.  This
  * suite proves it empirically: for a matrix of seeds x workload
- * configurations (including a Device-mode run, and the PEBS,
- * sampler-feedback and nomad modes whose order-sensitive work is
- * replayed in draw order, and cells whose streams span several
- * draw-ahead chunks), the full flight-recorder CSV, the metrics
- * dump and the headline SimResult fields at --shards {2,4,8} must
- * equal the --shards 1 reference exactly.
+ * configurations (including a Device-mode run, the PEBS mode whose
+ * record budget is replayed in draw order, the sampler-feedback and
+ * nomad modes whose policy feedback runs in the lanes, and cells
+ * whose streams span several chunks, so that fast lanes run ahead
+ * of slow ones across the boundary between the streams), the full
+ * flight-recorder CSV, the metrics dump and the headline SimResult
+ * fields at --shards {2,3,4,8} must equal the --shards 1 reference
+ * exactly.  The pipeline's error paths must join every job before
+ * an error propagates.
  *
  * The same binary runs under TSan in the shard-determinism CI job,
  * which additionally proves the lane workers share no unsynchronized
@@ -31,8 +34,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "harness.hh"
 #include "sim/app_tuning.hh"
+#include "sim/epoch_pipeline.hh"
 #include "workload/cloud_apps.hh"
 
 namespace thermostat
@@ -42,14 +48,26 @@ namespace
 
 using test::halfColdWorkload;
 using test::tinySimConfig;
+using test::writeHeavyWorkload;
 
 /** One workload/config cell of the matrix. */
 struct Cell
 {
     const char *name;
     SimConfig config;
-    const char *app = nullptr; //!< makeWorkload name; null: half-cold
+    const char *app = nullptr; //!< makeWorkload name
+    /** Without an app: the workload factory; null: half-cold. */
+    std::unique_ptr<ComposedWorkload> (*build)() = nullptr;
 };
+
+std::unique_ptr<Workload>
+cellWorkload(const Cell &cell, std::uint64_t seed)
+{
+    if (cell.app != nullptr) {
+        return makeWorkload(cell.app, seed);
+    }
+    return cell.build != nullptr ? cell.build() : halfColdWorkload();
+}
 
 /** Everything we compare between two runs of the same cell. */
 struct RunFingerprint
@@ -62,6 +80,8 @@ struct RunFingerprint
     Count slowAccesses = 0;
     Count llcMisses = 0;
     Count tlbMisses = 0;
+    Count replicasDropped = 0;
+    Count dirtyAborts = 0;
     std::uint64_t samplerDigest = 0;
 };
 
@@ -91,10 +111,10 @@ matrixCells(std::uint64_t seed)
 }
 
 /**
- * The run modes whose order-sensitive work (PEBS record budgeting,
- * sampler feedback, policy access feedback -- nomad's writes abort
- * transactions and free shadow frames) is replayed in draw order
- * after the lanes fan out.
+ * The run modes whose feedback is order-sensitive: PEBS record
+ * budgeting, replayed in draw order, and policy access feedback,
+ * which the lanes feed (nomad's writes abort transactions and free
+ * shadow frames, in draw order at the barrier).
  */
 std::vector<Cell>
 replayCells(std::uint64_t seed)
@@ -118,17 +138,41 @@ replayCells(std::uint64_t seed)
 }
 
 /**
+ * nomad with sampler feedback over the write-heavy working set, both
+ * streams several chunks long: writes from the timing lanes' samples
+ * and from the profiling lanes drop replicas and abort transactions.
+ */
+Cell
+nomadSampledCell(std::uint64_t seed)
+{
+    Cell cell{"nomad-sampled-multichunk", tinySimConfig(seed)};
+    cell.build = writeHeavyWorkload;
+    cell.config.duration = 30 * kNsPerSec;
+    cell.config.policy = "nomad";
+    cell.config.policyParams.coldFraction = 0.4;
+    cell.config.samplerFeedback = true;
+    cell.config.samplesPerEpoch = 2 * 65536 + 1;
+    cell.config.profileWeight = 1;
+    return cell;
+}
+
+/**
  * Cells whose streams each span three or more 65536-reference
  * chunks, so the pipeline's draw, resolve and lane steps of
  * neighbouring chunks overlap, and its chunk sequence crosses from
  * the timing stream into the profiling stream:
  * in-memory-analytics (region growth, a scattered Zipf pattern, a
- * scan), nomad over write-heavy cassandra, deciding every epoch so
- * that demotion transactions are open while its replay feeds writes
- * to the transaction engine, PEBS over analytics, whose modulo
- * counter and record budget run across every chunk and stream
- * boundary in draw order, and sampler feedback over redis, whose
- * timing replay feeds the policy before the profiling replay does.
+ * scan); cassandra, whose references load the lanes most unevenly
+ * (the busiest lane gets about 1.5x the mean), so fast lanes run
+ * ahead of slow ones into the profiling stream; nomad over
+ * write-heavy cassandra, deciding every epoch so that demotion
+ * transactions are open while the lanes feed it writes; nomad with
+ * sampler feedback over a write-heavy working set whose writes drop
+ * replicas and abort transactions from both streams' lanes; PEBS
+ * over analytics, whose modulo counter and record budget run across
+ * every chunk and stream boundary in draw order; and sampler
+ * feedback over redis, whose timing lanes feed the policy before
+ * its profiling lanes do.
  */
 std::vector<Cell>
 multiChunkCells(std::uint64_t seed)
@@ -145,12 +189,16 @@ multiChunkCells(std::uint64_t seed)
     cells.push_back({"analytics-multichunk",
                      tuned("in-memory-analytics"),
                      "in-memory-analytics"});
+    cells.push_back(
+        {"cassandra-multichunk", tuned("cassandra"), "cassandra"});
     Cell nomad{"cassandra-nomad-multichunk", tuned("cassandra"),
                "cassandra"};
     nomad.config.policy = "nomad";
     nomad.config.policyParams.coldFraction = 0.4;
     nomad.config.policyParams.decisionPeriod = kNsPerSec;
     cells.push_back(std::move(nomad));
+
+    cells.push_back(nomadSampledCell(seed));
 
     Cell pebs{"pebs-multichunk", tuned("in-memory-analytics"),
               "in-memory-analytics"};
@@ -170,10 +218,7 @@ runCell(const Cell &cell, unsigned shards)
 {
     SimConfig config = cell.config;
     config.shards = shards;
-    Simulation sim(cell.app != nullptr
-                       ? makeWorkload(cell.app, config.seed)
-                       : halfColdWorkload(),
-                   config);
+    Simulation sim(cellWorkload(cell, config.seed), config);
     const SimResult result = sim.run();
 
     RunFingerprint fp;
@@ -185,6 +230,8 @@ runCell(const Cell &cell, unsigned shards)
     fp.slowAccesses = result.machineStats.weightedSlowAccesses;
     fp.llcMisses = result.llc.misses;
     fp.tlbMisses = result.l2Tlb.misses;
+    fp.replicasDropped = result.transactions.replicasDropped;
+    fp.dirtyAborts = result.transactions.dirtyAborts;
     if (sim.accessSampler() != nullptr) {
         fp.samplerDigest = sim.accessSampler()->streamDigest();
     }
@@ -208,12 +255,14 @@ expectIdentical(const RunFingerprint &ref, const RunFingerprint &got,
     EXPECT_EQ(ref.slowAccesses, got.slowAccesses) << where;
     EXPECT_EQ(ref.llcMisses, got.llcMisses) << where;
     EXPECT_EQ(ref.tlbMisses, got.tlbMisses) << where;
+    EXPECT_EQ(ref.replicasDropped, got.replicasDropped) << where;
+    EXPECT_EQ(ref.dirtyAborts, got.dirtyAborts) << where;
     EXPECT_EQ(ref.samplerDigest, got.samplerDigest) << where;
 }
 
 /**
  * Run every cell of @p cells for seeds [1, @p seeds] at shards
- * {2,4,8} against its shards=1 reference; any divergence names its
+ * {2,3,4,8} against its shards=1 reference; any divergence names its
  * exact cell, and the first one stops the sweep.
  */
 void
@@ -224,7 +273,7 @@ expectMatrixMatchesSerial(std::uint64_t seeds,
         for (const Cell &cell : cells(seed)) {
             const RunFingerprint ref = runCell(cell, 1);
             ASSERT_FALSE(ref.flightCsv.empty());
-            for (const unsigned shards : {2u, 4u, 8u}) {
+            for (const unsigned shards : {2u, 3u, 4u, 8u}) {
                 expectIdentical(ref, runCell(cell, shards),
                                 cell.name, seed, shards);
                 if (::testing::Test::HasFailure()) {
@@ -244,17 +293,28 @@ TEST(ShardDeterminism, MatrixMatchesSerialReference)
 
 TEST(ShardDeterminism, ReplayModesMatchSerialReference)
 {
-    // Fewer seeds: these cells exist to put the draw-order replay
-    // under TSan next to the lane workers, not to sample workloads.
+    // Fewer seeds: these cells exist to put the lanes' feedback and
+    // the draw-order replay under TSan, not to sample workloads.
     expectMatrixMatchesSerial(3, replayCells);
 }
 
 TEST(ShardDeterminism, MultiChunkStreamsMatchSerialReference)
 {
     // The pipelined path: each epoch's streams cross chunk
-    // boundaries, so chunk c+2 is drawn and chunk c+1 resolved while
-    // chunk c's lanes run, across the boundary between the streams.
+    // boundaries, so later chunks are drawn and resolved while
+    // earlier ones run, and each lane moves on to its next chunk,
+    // across the boundary between the streams, as soon as that chunk
+    // has resolved.
     expectMatrixMatchesSerial(1, multiChunkCells);
+}
+
+TEST(ShardDeterminism, NomadSampledCellDropsReplicasAndAborts)
+{
+    // The cell covers what its name promises: lane-fed writes that
+    // drop replicas and abort transactions.
+    const RunFingerprint ref = runCell(nomadSampledCell(1), 1);
+    EXPECT_GT(ref.replicasDropped, 0u);
+    EXPECT_GT(ref.dirtyAborts, 0u);
 }
 
 /**
@@ -265,7 +325,7 @@ TEST(ShardDeterminism, MultiChunkStreamsMatchSerialReference)
 TEST(ShardDeterminism, MultiChunkCellsSpanThreeChunksPerStream)
 {
     for (const Cell &cell : multiChunkCells(1)) {
-        Simulation sim(makeWorkload(cell.app, 1), cell.config);
+        Simulation sim(cellWorkload(cell, 1), cell.config);
         const double refs = sim.workload().memRefRate() *
                             static_cast<double>(cell.config.epoch) /
                             static_cast<double>(kNsPerSec) /
@@ -442,6 +502,52 @@ TEST(ShardDeterminism, ResolveErrorJoinsBeforePropagating)
                        config);
         EXPECT_THROW(sim.run(), std::runtime_error) << shards;
         EXPECT_EQ(active.load(), 0) << shards;
+    }
+}
+
+TEST(ShardDeterminism, LaneErrorJoinsWhileLaterChunksResolve)
+{
+    // Lane 3 throws on its second chunk, with a pool only once a
+    // later chunk is resolving (one draw in 512 lingers in its
+    // resolve) while the other lanes run on.  The error must reach
+    // the caller only after every resolve and lane job has joined.
+    for (const unsigned shards : {1u, 4u}) {
+        std::atomic<int> resolving{0};
+        std::atomic<int> running{0};
+        std::atomic<bool> overlapped{false};
+        Machine machine(tinySimConfig().machine);
+        std::unique_ptr<Workload> workload = singlePatternWorkload(
+            std::make_unique<FailingPattern>(~0ull, &resolving));
+        workload->setup(machine.space());
+        workload->advance(0, machine.space());
+        std::unique_ptr<ThreadPool> pool =
+            shards > 1 ? std::make_unique<ThreadPool>(shards) : nullptr;
+        Rng rng(5); // rng: test stream
+        std::array<StreamSpec, 1> streams{StreamSpec{
+            "timing_stream", rng, 8 * 65536,
+            [&](const LaneTask &task) {
+                ++running;
+                const bool fail = task.lane == 3 && task.firstSeq > 0;
+                const auto deadline = std::chrono::steady_clock::now() +
+                                      std::chrono::seconds(5);
+                while (fail && pool != nullptr && resolving.load() == 0 &&
+                       std::chrono::steady_clock::now() < deadline) {
+                    std::this_thread::yield();
+                }
+                overlapped = overlapped || (fail && resolving.load() > 0);
+                --running;
+                if (fail) {
+                    throw std::runtime_error("lane failed");
+                }
+            },
+            {}}};
+        EXPECT_THROW(runStreams(*workload, pool.get(), nullptr, nullptr,
+                                streams, {}),
+                     std::runtime_error)
+            << shards;
+        EXPECT_EQ(resolving.load(), 0) << shards;
+        EXPECT_EQ(running.load(), 0) << shards;
+        EXPECT_EQ(overlapped.load(), shards > 1) << shards;
     }
 }
 

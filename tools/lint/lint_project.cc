@@ -307,6 +307,24 @@ checkMetricSchema(const std::vector<FileFacts> &files,
     if (!catalog.loaded) {
         return;
     }
+    for (const FileFacts &file : files) {
+        if (!ruleApplies(*rule, file.path)) {
+            continue;
+        }
+        for (const EventCategoryFact &fact : file.eventCategories) {
+            const auto row = catalog.eventCategories.find(fact.kind);
+            if (row == catalog.eventCategories.end() ||
+                row->second == fact.category) {
+                continue;
+            }
+            addFinding(rule->id, file.path, fact.at,
+                       "EventKind::" + fact.kind + " is in category '" +
+                           fact.category +
+                           "' in eventCategory() but '" + row->second +
+                           "' in the DESIGN.md event catalog",
+                       out);
+        }
+    }
     if (haveEnumerators) {
         // Authoritative mode: audit the enum definition itself.
         for (const FileFacts &file : files) {
@@ -450,6 +468,16 @@ loadDesignCatalog(const std::string &designPath)
         if (block == Block::None) {
             continue;
         }
+        // An event row's category is its last cell.
+        const std::size_t end = line.find_last_of('|');
+        const std::size_t start =
+            end == std::string::npos || end == 0
+                ? std::string::npos
+                : line.find_last_of('|', end - 1);
+        const std::string category =
+            start == std::string::npos
+                ? ""
+                : trim(line.substr(start + 1, end - start - 1));
         auto begin =
             std::sregex_iterator(line.begin(), line.end(), kTick);
         for (auto it = begin; it != std::sregex_iterator(); ++it) {
@@ -457,6 +485,7 @@ loadDesignCatalog(const std::string &designPath)
                 catalog.metricRoots.insert((*it)[1]);
             } else {
                 catalog.eventKinds.insert((*it)[1]);
+                catalog.eventCategories[(*it)[1]] = category;
             }
         }
     }

@@ -8,7 +8,8 @@
  *  - rng-stream-discipline:  seed derivation, salt uniqueness,
  *                            sharded Rng members
  *  - metric-schema:          duplicate registrations, DESIGN.md
- *                            metric/event catalog drift
+ *                            metric/event catalog drift (names, and
+ *                            each event's category)
  *  - merge-barrier-escape:   lane-held state read outside lane or
  *                            merge-barrier context
  */
@@ -35,6 +36,8 @@ struct DesignCatalog
     bool loaded = false; //!< DESIGN.md with markers was found
     std::set<std::string> metricRoots;
     std::set<std::string> eventKinds;
+    /** Each event row's kinds -> the row's category column. */
+    std::map<std::string, std::string> eventCategories;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "lint_scanner.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <regex>
 
@@ -510,6 +511,43 @@ scanEventEnum(const std::vector<LineView> &lines, FileFacts *facts)
     }
 }
 
+/**
+ * The switch of an `eventCategory(EventKind ...)` definition: each
+ * run of `case EventKind::X:` labels takes the category of the
+ * `return kEvY;` that ends it.
+ */
+void
+scanEventCategories(const std::vector<LineView> &lines,
+                    FileFacts *facts)
+{
+    static const std::regex kCase(R"(\bcase\s+EventKind\s*::\s*(\w+))");
+    static const std::regex kReturn(R"(\breturn\s+kEv(\w+)\s*;)");
+    std::size_t i = 0;
+    while (i < lines.size() &&
+           lines[i].code.rfind("eventCategory(EventKind", 0) != 0) {
+        ++i;
+    }
+    std::vector<EventCategoryFact> pending;
+    for (++i; i < lines.size() && lines[i].code.rfind('}', 0) != 0;
+         ++i) {
+        std::smatch m;
+        if (std::regex_search(lines[i].code, m, kCase)) {
+            pending.push_back({siteAt(lines, i), m[1], ""});
+        } else if (std::regex_search(lines[i].code, m, kReturn)) {
+            std::string category = m[1];
+            std::transform(category.begin(), category.end(),
+                           category.begin(), [](unsigned char c) {
+                               return static_cast<char>(std::tolower(c));
+                           });
+            for (EventCategoryFact &fact : pending) {
+                fact.category = category;
+                facts->eventCategories.push_back(std::move(fact));
+            }
+            pending.clear();
+        }
+    }
+}
+
 } // namespace
 
 FileFacts
@@ -561,6 +599,7 @@ scanFile(const std::string &rel, const std::string &text)
     if (rel.find("obs/event_trace.hh") != std::string::npos) {
         scanEventEnum(lines, &facts);
     }
+    scanEventCategories(lines, &facts);
     return facts;
 }
 

@@ -53,6 +53,14 @@ struct EventUseFact
     std::string kind;
 };
 
+/** One `case EventKind::X:` of eventCategory() and its category. */
+struct EventCategoryFact
+{
+    FactSite at;
+    std::string kind;
+    std::string category; //!< `kEvSample` -> "sample"
+};
+
 /** RNG stream construction or seed-salt derivation. */
 struct RngFact
 {
@@ -100,6 +108,7 @@ struct FileFacts
     std::vector<MetricFact> metrics;
     std::vector<EventUseFact> events;
     std::vector<std::string> eventEnumerators; //!< event_trace.hh
+    std::vector<EventCategoryFact> eventCategories; //!< eventCategory()
     std::vector<RngFact> rngs;
     std::vector<MemberFact> members;
     std::vector<MethodFact> methods;
